@@ -111,14 +111,26 @@ pub fn multiset_unrank(counts: &[u32], rank: u64) -> Option<Vec<u8>> {
     Some(out)
 }
 
-/// Lexicographic rank of a permutation label (all symbols distinct) —
-/// the factoradic specialization of [`multiset_rank`].
-pub fn perm_rank(label: &[u8]) -> u64 {
+/// Lexicographic rank of a permutation label (all symbols distinct): its
+/// Lehmer code read as a factoradic number. Equals [`multiset_rank`] on
+/// distinct symbols, in `O(l²)` comparisons with no count table, and
+/// takes any ordered symbol type so a [`crate::perm::Perm`] image ranks
+/// directly. Ranks past `u64` (`l > 20`) are unsupported.
+pub fn perm_rank<T: Ord>(label: &[T]) -> u64 {
     debug_assert!(
-        crate::label::Label::from(label).has_distinct_symbols(),
+        label
+            .iter()
+            .enumerate()
+            .all(|(i, s)| !label[..i].contains(s)),
         "perm_rank needs distinct symbols"
     );
-    multiset_rank(label)
+    let mut rank = 0u64;
+    for (i, s) in label.iter().enumerate() {
+        // Horner form of Σ_i (#later symbols smaller than s_i)·(l−1−i)!
+        let smaller_after = label[i + 1..].iter().filter(|&t| t < s).count() as u64;
+        rank = rank * (label.len() - i) as u64 + smaller_after;
+    }
+    rank
 }
 
 /// The `rank`-th permutation (lexicographic) of the sorted symbol slice.
@@ -175,6 +187,38 @@ mod tests {
         assert_eq!(perm_rank(&[4, 3, 2, 1]), 23);
         assert_eq!(perm_unrank(&[1, 2, 3, 4], 0).unwrap(), vec![1, 2, 3, 4]);
         assert_eq!(perm_unrank(&[1, 2, 3, 4], 23).unwrap(), vec![4, 3, 2, 1]);
+    }
+
+    /// Every permutation of `0..l` in lexicographic order.
+    fn lex_perms(l: usize) -> Vec<Vec<u8>> {
+        if l == 0 {
+            return vec![vec![]];
+        }
+        let mut out = Vec::new();
+        for first in 0..l as u8 {
+            for rest in lex_perms(l - 1) {
+                let mut p = vec![first];
+                p.extend(rest.into_iter().map(|s| s + (s >= first) as u8));
+                out.push(p);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn perm_rank_equals_multiset_rank_exhaustively() {
+        for l in 0..=7usize {
+            let symbols: Vec<u8> = (0..l as u8).collect();
+            for (i, p) in lex_perms(l).iter().enumerate() {
+                assert_eq!(perm_rank(p), i as u64, "l={l}: {p:?}");
+                assert_eq!(perm_rank(p), multiset_rank(p), "l={l}: {p:?}");
+                assert_eq!(perm_unrank(&symbols, i as u64).as_ref(), Some(p));
+                // the generic form ranks u16 images identically
+                let wide: Vec<u16> = p.iter().map(|&s| s as u16 * 3).collect();
+                assert_eq!(perm_rank(&wide), i as u64);
+            }
+            assert_eq!(perm_unrank(&symbols, (1..=l as u64).product()), None);
+        }
     }
 
     #[test]

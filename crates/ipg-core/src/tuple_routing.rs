@@ -53,18 +53,7 @@ pub fn schedule_over_perms(perms: &[Perm], l: usize, target: Option<&Perm>) -> O
 /// Lexicographic rank of a block arrangement — the flat-state row index.
 #[inline]
 fn arrangement_rank(p: &Perm) -> usize {
-    arrangement_rank_img(p.image())
-}
-
-/// [`arrangement_rank`] over a raw image slice, for callers that compose
-/// permutations into stack buffers instead of allocating a [`Perm`].
-#[inline]
-fn arrangement_rank_img(image: &[u16]) -> usize {
-    let mut buf = [0u8; FLAT_SCHEDULE_MAX_L];
-    for (o, &v) in buf.iter_mut().zip(image.iter()) {
-        *o = v as u8;
-    }
-    rank::multiset_rank(&buf[..image.len()]) as usize
+    rank::perm_rank(p.image()) as usize
 }
 
 fn schedule_flat(perms: &[Perm], l: usize, target: Option<&Perm>, full: u32) -> Option<Vec<usize>> {
@@ -303,6 +292,9 @@ pub const SHORTEST_ROUTER_MAX_L: usize = FLAT_SCHEDULE_MAX_L;
 /// Distance sentinel: unreachable.
 const DIST_INF: u32 = u32::MAX;
 
+/// First-hop table sentinel: no neighbour of this kind is one step closer.
+const NO_HOP: u16 = u16::MAX;
+
 /// A candidate final block arrangement: its flat rank, the inverse image
 /// (`inv[q]` = final position of the block starting at position `q`), and
 /// the shortest word length realizing it with no visit requirement.
@@ -310,6 +302,17 @@ struct ProductCand {
     rank: u32,
     inv: [u8; FLAT_SCHEDULE_MAX_L],
     base: u16,
+}
+
+/// One distance evaluation with its argmin witness: the distance and,
+/// over every optimal product, the smallest first-hop indices — a
+/// nucleus CSR offset (`arc`) and a closed-set generator index (`gen`),
+/// [`NO_HOP`] when no optimal product offers one.
+#[derive(Clone, Copy)]
+struct Witness {
+    dist: u32,
+    arc: u16,
+    gen: u16,
 }
 
 /// Exact shortest-path router over tuple node ids — the codec-backed
@@ -338,6 +341,10 @@ struct ProductCand {
 /// cost nothing), `≥` because projecting any path yields such a plan.
 /// `W` comes from one BFS over `(arrangement, visited)` states followed by
 /// a superset-min sweep over the visited masks.
+///
+/// `next_hop` costs one evaluation of that formula: the optimal products
+/// and their mismatch masks also name the first hop (see
+/// [`ShortestTupleRouter::next_hop`]), so no neighbour is re-evaluated.
 pub struct ShortestTupleRouter {
     tn: TupleNetwork,
     /// Super-generator block perms closed under inverses (the symmetrized
@@ -352,6 +359,13 @@ pub struct ShortestTupleRouter {
     /// Order transitions under `gens` (empty for plain seeds):
     /// `order_next[oi·gens.len() + gi]`.
     order_next: Vec<u32>,
+    /// `first_arc[a·M + b]`: offset in `nucleus.neighbors(a)` of the first
+    /// neighbour one nucleus step closer to `b` ([`NO_HOP`] if none).
+    first_arc: Vec<u16>,
+    /// `first_gen[rank·2^l | V]`: index in `gens` of the first generator
+    /// `g` whose residual state `(g⁻¹π, g⁻¹V)` has `wmin` one lower than
+    /// `(π, V)` ([`NO_HOP`] if none).
+    first_gen: Vec<u16>,
 }
 
 impl ShortestTupleRouter {
@@ -375,6 +389,27 @@ impl ShortestTupleRouter {
                 }
             }
         }
+        let mut first_arc = vec![NO_HOP; m * m];
+        for a in 0..m {
+            let nbrs = tn.nucleus.neighbors(a as u32);
+            if nbrs.len() >= NO_HOP as usize {
+                return Err(IpgError::InvalidSpec {
+                    reason: format!("nucleus degree {} exceeds the hop table", nbrs.len()),
+                });
+            }
+            for b in 0..m {
+                let here = ndist[a * m + b];
+                if here == 0 || here == u16::MAX {
+                    continue;
+                }
+                let closer = nbrs
+                    .iter()
+                    .position(|&nb| ndist[nb as usize * m + b] as u32 + 1 == here as u32);
+                if let Some(off) = closer {
+                    first_arc[a * m + b] = off as u16;
+                }
+            }
+        }
 
         // close the generator set under inverses, preserving order
         let mut gens = tn.block_perms.clone();
@@ -383,6 +418,12 @@ impl ShortestTupleRouter {
             if !gens.contains(&inv) {
                 gens.push(inv);
             }
+        }
+
+        if gens.len() >= NO_HOP as usize {
+            return Err(IpgError::InvalidSpec {
+                reason: format!("{} super-generators exceed the hop table", gens.len()),
+            });
         }
 
         // BFS over (arrangement, visited-blocks) states; `visited` tracks
@@ -424,6 +465,7 @@ impl ShortestTupleRouter {
                 }
             }
         }
+        let first_gen = first_generators(&gens, l, &wmin);
 
         let mut prods: Vec<ProductCand> = reached
             .into_iter()
@@ -468,6 +510,8 @@ impl ShortestTupleRouter {
             wmin,
             prods,
             order_next,
+            first_arc,
+            first_gen,
         })
     }
 
@@ -481,35 +525,60 @@ impl ShortestTupleRouter {
         self.ndist[a as usize * self.tn.m_nodes() + b as usize]
     }
 
-    /// Cost of one candidate product: nucleus corrections plus the word.
+    /// Fold one candidate product into `w`: its cost (nucleus
+    /// corrections plus the word) and, when it ties or beats the best so
+    /// far, its first-hop witnesses.
     #[inline]
-    fn eval(&self, rank: u32, inv: &[u8], ut: &[u32], dt: &[u32]) -> u32 {
+    fn consider(&self, w: &mut Witness, rank: u32, inv: &[u8], ut: &[u32], dt: &[u32]) {
         let l = self.tn.l;
         let mut mism = 0usize;
         let mut nc = 0u32;
         for (q, &u_val) in ut.iter().enumerate() {
             let nd = self.nd(u_val, dt[inv[q] as usize]);
             if nd == u16::MAX {
-                return DIST_INF;
+                return;
             }
             nc += nd as u32;
             if nd > 0 {
                 mism |= 1 << q;
             }
         }
-        let w = self.wmin[((rank as usize) << l) | mism];
-        if w == u16::MAX {
-            return DIST_INF;
+        let state = ((rank as usize) << l) | mism;
+        let word = self.wmin[state];
+        if word == u16::MAX {
+            return;
         }
-        nc + w as u32
+        let cost = nc + word as u32;
+        if cost > w.dist {
+            return;
+        }
+        // the block that ends at position 0 is where coordinate 0 must go
+        let target0 = dt[inv[0] as usize];
+        let arc = self.first_arc[ut[0] as usize * self.tn.m_nodes() + target0 as usize];
+        let gen = self.first_gen[state];
+        if cost < w.dist {
+            *w = Witness {
+                dist: cost,
+                arc,
+                gen,
+            };
+        } else {
+            w.arc = w.arc.min(arc);
+            w.gen = w.gen.min(gen);
+        }
     }
 
-    /// Distance between decoded endpoints (`DIST_INF` when unreachable).
-    fn dist_parts(&self, uo: u32, ut: &[u32], do_: u32, dt: &[u32]) -> u32 {
+    /// Distance between decoded endpoints with its first-hop witness
+    /// (`dist == DIST_INF` when unreachable).
+    fn dist_parts(&self, uo: u32, ut: &[u32], do_: u32, dt: &[u32]) -> Witness {
+        let mut w = Witness {
+            dist: DIST_INF,
+            arc: NO_HOP,
+            gen: NO_HOP,
+        };
         if self.tn.order_count() > 1 {
             // The product is forced: σ_u.then(π) = σ_d. Compose
-            // β = σ_u⁻¹∘σ_d and its inverse in stack buffers — this runs
-            // once per neighbor per hop, so it must not allocate.
+            // β = σ_u⁻¹∘σ_d and its inverse in stack buffers.
             let su = self.tn.order_perm(uo).image();
             let sd = self.tn.order_perm(do_).image();
             let mut inv_u = [0u16; FLAT_SCHEDULE_MAX_L];
@@ -520,22 +589,23 @@ impl ShortestTupleRouter {
             for (b, &p) in beta.iter_mut().zip(sd.iter()) {
                 *b = inv_u[p as usize];
             }
-            let rank = arrangement_rank_img(&beta[..sd.len()]) as u32;
+            let beta = &beta[..sd.len()];
             let mut inv = [0u8; FLAT_SCHEDULE_MAX_L];
-            for (i, &b) in beta[..sd.len()].iter().enumerate() {
+            for (i, &b) in beta.iter().enumerate() {
                 inv[b as usize] = i as u8;
             }
-            self.eval(rank, &inv, ut, dt)
+            self.consider(&mut w, rank::perm_rank(beta) as u32, &inv, ut, dt);
         } else {
-            let mut best = DIST_INF;
             for c in &self.prods {
-                if (c.base as u32) >= best {
-                    break; // sorted by base: nothing cheaper follows
+                // sorted by base, and a product never costs less than its
+                // base: once base exceeds the best, no tie can follow
+                if (c.base as u32) > w.dist {
+                    break;
                 }
-                best = best.min(self.eval(c.rank, &c.inv, ut, dt));
+                self.consider(&mut w, c.rank, &c.inv, ut, dt);
             }
-            best
         }
+        w
     }
 
     /// Graph distance from `u` to `d` (`None` when unreachable).
@@ -548,7 +618,7 @@ impl ShortestTupleRouter {
         let mut dt = [0u32; FLAT_SCHEDULE_MAX_L];
         let uo = self.tn.decode_into(u, &mut ut[..l]);
         let do_ = self.tn.decode_into(d, &mut dt[..l]);
-        match self.dist_parts(uo, &ut[..l], do_, &dt[..l]) {
+        match self.dist_parts(uo, &ut[..l], do_, &dt[..l]).dist {
             DIST_INF => None,
             v => Some(v),
         }
@@ -556,8 +626,19 @@ impl ShortestTupleRouter {
 
     /// First hop of a shortest path from `u` to `d`: the first neighbor
     /// (nucleus arcs in CSR order, then super-generators in closed-set
-    /// order) whose distance to `d` is one less — so iterating `next_hop`
-    /// yields a path of length exactly `dist(u, d)`, deterministically.
+    /// order, skipping generators that fix `u`) whose distance to `d` is
+    /// one less — so iterating `next_hop` yields a path of length exactly
+    /// `dist(u, d)`, deterministically.
+    ///
+    /// One distance evaluation finds it. A nucleus arc to `nb` is one
+    /// step closer iff some optimal product `π` has `nb` one nucleus step
+    /// closer to coordinate 0's target `t_d[π⁻¹(0)]` (the mismatch bit of
+    /// position 0 never changes `wmin`: every BFS state has it set). A
+    /// generator `g` is one step closer iff some optimal `π` has
+    /// `wmin(g⁻¹π, g⁻¹V) = wmin(π, V) − 1`, since `v = g·u` sees the same
+    /// nucleus corrections under `g⁻¹π` with its mask moved by `g`. Taking
+    /// the smallest table entry over tied products picks exactly the first
+    /// such neighbour in scan order; a generator fixing `u` never passes.
     pub fn next_hop(&self, u: u32, d: u32) -> Option<u32> {
         if u == d {
             return None;
@@ -565,45 +646,27 @@ impl ShortestTupleRouter {
         let l = self.tn.l;
         let mut ut = [0u32; FLAT_SCHEDULE_MAX_L];
         let mut dt = [0u32; FLAT_SCHEDULE_MAX_L];
-        let mut vt = [0u32; FLAT_SCHEDULE_MAX_L];
         let uo = self.tn.decode_into(u, &mut ut[..l]);
         let do_ = self.tn.decode_into(d, &mut dt[..l]);
-        let here = self.dist_parts(uo, &ut[..l], do_, &dt[..l]);
-        if here == DIST_INF {
-            return None;
+        let w = self.dist_parts(uo, &ut[..l], do_, &dt[..l]);
+        if w.arc != NO_HOP {
+            // nucleus arcs: coordinate 0 has mixed-radix weight 1
+            let t0 = ut[0];
+            return Some(u - t0 + self.tn.nucleus.neighbors(t0)[w.arc as usize]);
         }
-        // nucleus arcs: coordinate 0 has mixed-radix weight 1
-        let t0 = ut[0];
-        let base_id = u - t0;
-        for &nb in self.tn.nucleus.neighbors(t0) {
-            ut[0] = nb;
-            let v = self.dist_parts(uo, &ut[..l], do_, &dt[..l]);
-            if v != DIST_INF && v + 1 == here {
-                return Some(base_id + nb);
-            }
+        // unreachable, or no witness: `gen` is NO_HOP, past the end of `gens`
+        let gi = w.gen as usize;
+        let g = self.gens.get(gi)?;
+        let mut vt = [0u32; FLAT_SCHEDULE_MAX_L];
+        for (slot, &p) in vt[..l].iter_mut().zip(g.image()) {
+            *slot = ut[p as usize];
         }
-        ut[0] = t0;
-        // super-generator arcs (the closed set covers the symmetrized
-        // reverse arcs of non-involutive generators)
-        for (gi, g) in self.gens.iter().enumerate() {
-            for (j, slot) in vt[..l].iter_mut().enumerate() {
-                *slot = ut[g.image()[j] as usize];
-            }
-            let vo = if self.order_next.is_empty() {
-                0
-            } else {
-                self.order_next[uo as usize * self.gens.len() + gi]
-            };
-            let vid = self.tn.encode(vo, &vt[..l]);
-            if vid == u {
-                continue; // generator fixes the node: a dropped self-loop
-            }
-            let v = self.dist_parts(vo, &vt[..l], do_, &dt[..l]);
-            if v != DIST_INF && v + 1 == here {
-                return Some(vid);
-            }
-        }
-        None
+        let vo = if self.order_next.is_empty() {
+            0
+        } else {
+            self.order_next[uo as usize * self.gens.len() + gi]
+        };
+        Some(self.tn.encode(vo, &vt[..l]))
     }
 
     /// Shortest node-id path `u -> d` (inclusive); its length is exactly
@@ -624,6 +687,56 @@ impl ShortestTupleRouter {
         }
         Ok(path)
     }
+}
+
+/// The `first_gen` table of [`ShortestTupleRouter`]: for every state
+/// `(π, V)` of the flat `l!·2^l` layout, the first generator `g` (in
+/// `gens` order) after which the rest of the plan is one word step
+/// shorter — the residual product is `g⁻¹.then(π)` and the mismatch mask
+/// becomes `{q : g(q) ∈ V}`.
+fn first_generators(gens: &[Perm], l: usize, wmin: &[u16]) -> Vec<u16> {
+    let masks = 1usize << l;
+    let symbols: Vec<u8> = (0..l as u8).collect();
+    let ginv: Vec<Perm> = gens.iter().map(Perm::inverse).collect();
+    // moved[gi·2^l + V] = {q : g_gi(q) ∈ V}
+    let mut moved = vec![0usize; gens.len() * masks];
+    for (gi, g) in gens.iter().enumerate() {
+        for v in 0..masks {
+            moved[gi * masks + v] = g
+                .image()
+                .iter()
+                .enumerate()
+                .map(|(q, &p)| ((v >> p) & 1) << q)
+                .sum();
+        }
+    }
+    let mut first_gen = vec![NO_HOP; wmin.len()];
+    let mut residual = vec![0usize; gens.len()];
+    let mut buf = [0u16; FLAT_SCHEDULE_MAX_L];
+    for (rank, row) in first_gen.chunks_mut(masks).enumerate() {
+        let Some(pi) = rank::perm_unrank(&symbols, rank as u64) else {
+            break;
+        };
+        for (slot, g) in residual.iter_mut().zip(&ginv) {
+            // image of g⁻¹.then(π): position j holds g⁻¹(π(j))
+            for (b, &p) in buf.iter_mut().zip(&pi) {
+                *b = g.image()[p as usize];
+            }
+            *slot = (rank::perm_rank(&buf[..l]) as usize) << l;
+        }
+        for (v, entry) in row.iter_mut().enumerate() {
+            let here = wmin[(rank << l) | v];
+            if here == u16::MAX {
+                continue;
+            }
+            let closer = (0..gens.len())
+                .find(|&gi| wmin[residual[gi] | moved[gi * masks + v]] as u32 + 1 == here as u32);
+            if let Some(gi) = closer {
+                *entry = gi as u16;
+            }
+        }
+    }
+    first_gen
 }
 
 #[cfg(test)]
@@ -760,6 +873,113 @@ mod tests {
             SeedKind::Repeated,
         );
         check_shortest_matches_bfs(tn);
+    }
+
+    /// Exact-hop oracle, independent of the distance formula: on the
+    /// built graph, `next_hop(u, d)` is the first neighbour in the
+    /// documented scan order — nucleus CSR arcs, then the inverse-closed
+    /// generators, skipping those that fix `u` — whose BFS distance to
+    /// `d` is one lower. Checks every `dest_stride`-th destination.
+    fn check_next_hop_is_first_closer_neighbour(tn: TupleNetwork, dest_stride: usize) {
+        let g = tn.build();
+        let name = tn.name.clone();
+        let n = g.node_count() as u32;
+        let mut gens = tn.block_perms.clone();
+        for bp in &tn.block_perms {
+            let inv = bp.inverse();
+            if !gens.contains(&inv) {
+                gens.push(inv);
+            }
+        }
+        let order_after = |uo: u32, gen: &Perm| -> u32 {
+            if tn.order_count() == 1 {
+                return 0;
+            }
+            let want = tn.order_perm(uo).then(gen);
+            (0..tn.order_count() as u32)
+                .find(|&i| tn.order_perm(i) == &want)
+                .unwrap()
+        };
+        let scan: Vec<Vec<u32>> = (0..n)
+            .map(|u| {
+                let (uo, ut) = tn.decode(u);
+                let mut out = Vec::new();
+                for &nb in tn.nucleus.neighbors(ut[0]) {
+                    let mut vt = ut.clone();
+                    vt[0] = nb;
+                    out.push(tn.encode(uo, &vt));
+                }
+                for gen in &gens {
+                    let vt: Vec<u32> = gen.image().iter().map(|&p| ut[p as usize]).collect();
+                    let v = tn.encode(order_after(uo, gen), &vt);
+                    if v != u {
+                        out.push(v);
+                    }
+                }
+                for &v in &out {
+                    assert!(g.has_arc(u, v), "{name}: oracle neighbour {u}->{v}");
+                }
+                out
+            })
+            .collect();
+        let r = ShortestTupleRouter::new(tn).unwrap();
+        for d in (0..n).step_by(dest_stride) {
+            let dist = algo::bfs(&g, d);
+            for u in 0..n {
+                let want = if u == d {
+                    None
+                } else {
+                    scan[u as usize]
+                        .iter()
+                        .copied()
+                        .find(|&v| dist[v as usize] + 1 == dist[u as usize])
+                };
+                assert_eq!(r.next_hop(u, d), want, "{name}: next_hop({u}, {d})");
+            }
+        }
+    }
+
+    #[test]
+    fn next_hop_is_the_first_closer_neighbour() {
+        for nucleus in [
+            NucleusSpec::hypercube(2),
+            NucleusSpec::complete(3),
+            NucleusSpec::ring(4),
+        ] {
+            for spec in [
+                SuperIpSpec::hsn(3, nucleus.clone()),
+                SuperIpSpec::ring_cn(3, nucleus.clone()),
+                SuperIpSpec::complete_cn(3, nucleus.clone()),
+                SuperIpSpec::superflip(3, nucleus.clone()),
+            ] {
+                let sym = spec.clone().symmetric();
+                check_next_hop_is_first_closer_neighbour(
+                    TupleNetwork::from_spec(&spec).unwrap(),
+                    1,
+                );
+                check_next_hop_is_first_closer_neighbour(TupleNetwork::from_spec(&sym).unwrap(), 1);
+            }
+        }
+        // Products tied at the best cost offer different first generators
+        // for some pairs here (every 8th destination still hits several):
+        // only scanning ties (base ≤ best, not <) finds the first one.
+        let spec = SuperIpSpec::superflip(5, NucleusSpec::hypercube(2));
+        check_next_hop_is_first_closer_neighbour(TupleNetwork::from_spec(&spec).unwrap(), 8);
+        // non-involutive generators: the closed set adds their inverses
+        let spec = SuperIpSpec::directed_ring_cn(3, NucleusSpec::hypercube(1));
+        check_next_hop_is_first_closer_neighbour(TupleNetwork::from_spec(&spec).unwrap(), 1);
+        let triangle = Csr::from_fn(3, |u, row| {
+            row.push((u + 1) % 3);
+            row.push((u + 2) % 3);
+        });
+        let rot3 = TupleNetwork::new(
+            "rot3-C3",
+            triangle,
+            3,
+            vec![Perm::cyclic_left(3, 1)],
+            SeedKind::Repeated,
+        );
+        check_next_hop_is_first_closer_neighbour(rot3, 1);
     }
 
     #[test]

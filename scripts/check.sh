@@ -55,28 +55,33 @@ stage "sim determinism (IPG_THREADS=1/2/4 byte-compare)"
 # The deterministic record families (stdout; manifest window/metrics
 # records) must not depend on the worker count. Spans/rates/meta carry
 # wall-clock data, so only the deterministic families are compared.
+# A plain and a symmetric seed: the codec router takes its tied-product
+# branch on the first and its forced-product branch on the second.
 simdir="$(mktemp -d /tmp/ipg-sim-det.XXXXXX)"
 trap 'rm -rf "$simdir"' EXIT
-for t in 1 2 4; do
-    mkdir -p "$simdir/t$t"
-    (cd "$simdir/t$t" && IPG_THREADS=$t "$OLDPWD/target/release/ipg" \
-        simulate ring-cn:l=3,nucleus=Q2 0.03 \
-        --obs run.manifest.jsonl --obs-interval 500 \
-        --trace run.trace.jsonl --trace-interval 128 > stdout.txt)
-    grep -E '^\{"record":"(window|metrics)"' "$simdir/t$t/run.manifest.jsonl" \
-        | sort > "$simdir/t$t/records.txt"
+for net in ring-cn:l=3,nucleus=Q2 ring-cn:l=2,nucleus=Q3,symmetric; do
+    ntag="$(echo "$net" | tr -c 'a-z0-9' '_')"
+    for t in 1 2 4; do
+        mkdir -p "$simdir/t$ntag$t"
+        (cd "$simdir/t$ntag$t" && IPG_THREADS=$t "$OLDPWD/target/release/ipg" \
+            simulate "$net" 0.03 \
+            --obs run.manifest.jsonl --obs-interval 500 \
+            --trace run.trace.jsonl --trace-interval 128 > stdout.txt)
+        grep -E '^\{"record":"(window|metrics)"' "$simdir/t$ntag$t/run.manifest.jsonl" \
+            | sort > "$simdir/t$ntag$t/records.txt"
+    done
+    for t in 2 4; do
+        cmp "$simdir/t${ntag}1/stdout.txt" "$simdir/t$ntag$t/stdout.txt" \
+            || { echo "check.sh: simulate stdout ($net) differs for IPG_THREADS=$t" >&2; exit 1; }
+        cmp "$simdir/t${ntag}1/records.txt" "$simdir/t$ntag$t/records.txt" \
+            || { echo "check.sh: manifest records ($net) differ for IPG_THREADS=$t" >&2; exit 1; }
+        # The flight recorder records only virtual time and counts, so the
+        # whole trace file — not just a filtered family — must byte-compare.
+        cmp "$simdir/t${ntag}1/run.trace.jsonl" "$simdir/t$ntag$t/run.trace.jsonl" \
+            || { echo "check.sh: trace file ($net) differs for IPG_THREADS=$t" >&2; exit 1; }
+    done
 done
-for t in 2 4; do
-    cmp "$simdir/t1/stdout.txt" "$simdir/t$t/stdout.txt" \
-        || { echo "check.sh: simulate stdout differs for IPG_THREADS=$t" >&2; exit 1; }
-    cmp "$simdir/t1/records.txt" "$simdir/t$t/records.txt" \
-        || { echo "check.sh: manifest records differ for IPG_THREADS=$t" >&2; exit 1; }
-    # The flight recorder records only virtual time and counts, so the
-    # whole trace file — not just a filtered family — must byte-compare.
-    cmp "$simdir/t1/run.trace.jsonl" "$simdir/t$t/run.trace.jsonl" \
-        || { echo "check.sh: trace file differs for IPG_THREADS=$t" >&2; exit 1; }
-done
-echo "   byte-identical for IPG_THREADS=1/2/4 (stdout, manifest records, trace)"
+echo "   byte-identical for IPG_THREADS=1/2/4 (stdout, manifest records, trace; plain and symmetric seeds)"
 
 stage "fault-mode determinism (IPG_THREADS=1/2/4 byte-compare)"
 # Same byte-identity with a fault campaign active: scripted kills and

@@ -474,25 +474,24 @@ proptest! {
     fn codec_router_path_lengths_match_bfs_table(
         l in 2usize..4,
         family in 0usize..4,
-        kind in 0usize..5,
+        kind in 0usize..8,
         pairs in proptest::collection::vec((0u32..4096, 0u32..4096), 4..12),
     ) {
         // The table-free codec router and the all-pairs BFS table are both
-        // exact-shortest: on random super-IP specs (every family, plain and
-        // symmetric seeds) sampled pairs must get equal path lengths, and
-        // every codec hop must be a real link.
+        // exact-shortest: on random super-IP specs (every family and
+        // nucleus, plain and symmetric seeds) sampled pairs must get equal
+        // path lengths, and every codec hop must be a real link.
         use ipgraph::core::tuple_routing::ShortestTupleRouter;
         use ipgraph::sim::table::RoutingTable;
         use ipgraph::sim::Router;
-        let (nuc, sym) = match kind {
-            0 => (NucleusSpec::hypercube(1), false),
-            1 => (NucleusSpec::hypercube(2), false),
-            2 => (NucleusSpec::complete(3), false),
-            3 => (NucleusSpec::ring(4), false),
-            _ => (NucleusSpec::hypercube(1), true),
+        let nuc = match kind % 4 {
+            0 => NucleusSpec::hypercube(1),
+            1 => NucleusSpec::hypercube(2),
+            2 => NucleusSpec::complete(3),
+            _ => NucleusSpec::ring(4),
         };
         let mut spec = super_family(family, l, nuc);
-        if sym {
+        if kind >= 4 {
             spec = spec.symmetric();
         }
         if spec.expected_size().unwrap() <= 2_000 {
