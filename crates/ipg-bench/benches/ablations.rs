@@ -1,8 +1,10 @@
 //! Ablation benches for the design choices called out in DESIGN.md §5:
 //!
 //! - label interning hasher: FxHash vs SipHash in the generation hot loop;
-//! - all-pairs sweeps: sequential vs rayon-parallel BFS;
-//! - I-distance computation: 0/1 BFS vs module-quotient BFS;
+//! - all-pairs sweeps: scalar per-source BFS vs the 64-lane bit-parallel
+//!   sweep (`algo::sweep`);
+//! - I-distance computation: scalar per-source 0/1 BFS vs the 64-lane 0/1
+//!   sweep vs module-quotient BFS;
 //! - IP generation vs direct tuple construction at equal output.
 
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -50,21 +52,29 @@ fn bench_hashers(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_bfs_parallelism(c: &mut Criterion) {
+/// The baseline the 64-lane sweep replaced: one scalar BFS per source,
+/// folded to (max, sum, pairs).
+fn scalar_fold(n: usize, dist: impl Fn(u32) -> Vec<u32>) -> (u32, u64, u64) {
+    let mut t = (0, 0, 0);
+    for s in 0..n as u32 {
+        for (v, &d) in dist(s).iter().enumerate() {
+            if v as u32 != s && d != algo::UNREACHABLE {
+                t = (t.0.max(d), t.1 + d as u64, t.2 + 1);
+            }
+        }
+    }
+    t
+}
+
+fn bench_bfs_sweep(c: &mut Criterion) {
     let g = classic::hypercube(11); // 2048 nodes
     let mut grp = c.benchmark_group("ablation_bfs");
     grp.sample_size(10);
-    grp.bench_function("all_pairs/parallel", |b| {
-        b.iter(|| black_box(algo::diameter(&g)))
+    grp.bench_function("all_pairs/64_lane_sweep", |b| {
+        b.iter(|| black_box(algo::sweep(&g, &algo::all_nodes(&g))))
     });
-    grp.bench_function("all_pairs/sequential", |b| {
-        b.iter(|| {
-            let mut worst = 0;
-            for s in 0..g.node_count() as u32 {
-                worst = worst.max(algo::eccentricity(&g, s));
-            }
-            black_box(worst)
-        })
+    grp.bench_function("all_pairs/scalar_per_source", |b| {
+        b.iter(|| black_box(scalar_fold(g.node_count(), |s| algo::bfs(&g, s))))
     });
     grp.finish();
 }
@@ -74,8 +84,15 @@ fn bench_idistance_paths(c: &mut Criterion) {
     let p = subcube_partition(12, 4);
     let mut grp = c.benchmark_group("ablation_imetrics");
     grp.sample_size(10);
-    grp.bench_function("i_distance/zero_one_bfs", |b| {
+    grp.bench_function("i_distance/64_lane_sweep", |b| {
         b.iter(|| black_box(imetrics::exact_distance_metrics(&g, &p)))
+    });
+    grp.bench_function("i_distance/scalar_zero_one_bfs", |b| {
+        b.iter(|| {
+            black_box(scalar_fold(g.node_count(), |s| {
+                imetrics::i_distances(&g, &p, s)
+            }))
+        })
     });
     grp.bench_function("i_distance/quotient", |b| {
         b.iter(|| black_box(imetrics::quotient_metrics(&g, &p)))
@@ -101,7 +118,7 @@ fn bench_generation_paths(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_hashers,
-    bench_bfs_parallelism,
+    bench_bfs_sweep,
     bench_idistance_paths,
     bench_generation_paths
 );

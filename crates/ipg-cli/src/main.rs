@@ -123,8 +123,9 @@ fn cmd_info(net: &ParsedNetwork) -> Result<(), String> {
     );
     println!("degree:       {}..{}", g.min_degree(), g.max_degree());
     if g.node_count() <= 100_000 {
-        println!("diameter:     {}", algo::diameter(g));
-        println!("avg distance: {:.3}", algo::average_distance(g));
+        let t = algo::sweep(g, &algo::all_nodes(g));
+        println!("diameter:     {}", t.diameter());
+        println!("avg distance: {:.3}", t.average());
     } else {
         println!("diameter:     (skipped; > 100k nodes)");
     }

@@ -3,10 +3,10 @@
 //!
 //! `IPG_THREADS` is read once per process (see `rayon::current_num_threads`),
 //! so each setting gets a fresh subprocess of the `ipg` binary. `dot` output
-//! encodes every node's BFS rank, `info` encodes the derived metrics, and the
-//! simulate manifest's deterministic family (`window` + `metrics` records)
-//! encodes the instrumented counters — all must be independent of the worker
-//! count.
+//! encodes every node's BFS rank, `info` and `compare` encode the derived
+//! metrics, and the simulate manifest's deterministic family (`window` +
+//! `metrics` records) encodes the instrumented counters — all must be
+//! independent of the worker count.
 
 use std::process::Command;
 
@@ -74,6 +74,23 @@ fn info_metrics_are_thread_count_independent() {
         "hypercube:8",
     ] {
         assert_stdout_deterministic(&["info", net]);
+    }
+}
+
+#[test]
+fn compare_table_is_thread_count_independent() {
+    // A directed network, a size that is not a multiple of the sweep's
+    // 64-source batches (star:5, 120 nodes), and a partitioned super-IP
+    // spec, so both the plain and the 0/1 sweep run.
+    let args = ["compare", "debruijn:6", "star:5", "hsn:l=2,nucleus=Q2"];
+    let (one, _) = run("1", &args);
+    assert_eq!(String::from_utf8_lossy(&one).lines().count(), 4);
+    for threads in ["2", "4"] {
+        let (out, _) = run(threads, &args);
+        assert_eq!(
+            one, out,
+            "ipg compare: stdout differs between IPG_THREADS=1 and IPG_THREADS={threads}"
+        );
     }
 }
 

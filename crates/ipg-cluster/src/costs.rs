@@ -52,20 +52,22 @@ impl CostSummary {
     }
 }
 
-/// Compute every metric exactly (all-pairs BFS + 0/1 BFS; use only at
-/// BFS-feasible sizes).
+/// Compute every metric exactly: one all-sources BFS sweep gives the
+/// diameter and average distance, one 0/1 sweep the I-metrics (see
+/// [`algo::sweep_01`]; use only at BFS-feasible sizes).
 pub fn summarize(name: impl Into<String>, g: &Csr, part: &Partition) -> CostSummary {
     let InterClusterMetrics {
         i_degree,
         i_diameter,
         avg_i_distance,
     } = imetrics::exact_metrics(g, part);
+    let plain = algo::sweep(g, &algo::all_nodes(g));
     CostSummary {
         name: name.into(),
         nodes: g.node_count(),
         degree: g.max_degree(),
-        diameter: algo::diameter(g),
-        avg_distance: algo::average_distance(g),
+        diameter: plain.diameter(),
+        avg_distance: plain.average(),
         module_size: part.max_module_size(),
         i_degree,
         i_diameter,

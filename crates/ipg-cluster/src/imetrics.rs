@@ -7,10 +7,11 @@
 //!   free); **I-diameter** is its maximum and **average I-distance** its
 //!   mean over distinct ordered pairs (§5.2).
 //!
-//! Two computation paths are provided: exact per-source 0/1-weighted BFS,
-//! and the *module quotient graph* (contract each module; distances in the
-//! quotient equal I-distances whenever modules induce connected subgraphs —
-//! true for every packing in this workspace, and asserted in tests).
+//! Two computation paths are provided: the exact 0/1-weighted BFS sweep
+//! (`ipg_core::algo::sweep_01`, 64 sources per pass), and the *module
+//! quotient graph* (contract each module; distances in the quotient equal
+//! I-distances whenever modules induce connected subgraphs — true for every
+//! packing in this workspace, and asserted in tests).
 
 use crate::partition::Partition;
 use ipg_core::algo;
@@ -54,41 +55,13 @@ pub fn i_distances(g: &Csr, part: &Partition, src: u32) -> Vec<u32> {
     algo::bfs_01(g, src, |u, v| !part.same(u, v))
 }
 
-/// Exact I-diameter and average I-distance by all-sources 0/1 BFS
-/// (parallel). `O(n·m)` — use [`quotient_metrics`] for large graphs.
-///
-/// Parallel-reduction audit: `(u32 max, u64 sum, u64 count)` — every
-/// component is associative and commutative, so the reduce is exact for
-/// any chunking; floats appear only in the final division.
+/// Exact I-diameter and average I-distance: one [`algo::sweep_01`] from
+/// every node with off-module arcs heavy. Still `O(n·m)` at worst (64
+/// sources share each arc scan) — use [`quotient_metrics`] for large
+/// graphs. The I-diameter is the largest *finite* I-distance.
 pub fn exact_distance_metrics(g: &Csr, part: &Partition) -> (u32, f64) {
-    let n = g.node_count();
-    let (max, sum, cnt) = (0..n as u32)
-        .into_par_iter()
-        .map(|s| {
-            let d = i_distances(g, part, s);
-            let mut mx = 0u32;
-            let mut sm = 0u64;
-            let mut ct = 0u64;
-            for (v, &dv) in d.iter().enumerate() {
-                if v as u32 != s && dv != algo::UNREACHABLE {
-                    mx = mx.max(dv);
-                    sm += dv as u64;
-                    ct += 1;
-                }
-            }
-            (mx, sm, ct)
-        })
-        // Parallel-reduction audit: `(u32 max, u64 sum, u64 count)` —
-        // associative/commutative per component, exact for any chunking.
-        .reduce(|| (0, 0, 0), |a, b| (a.0.max(b.0), a.1 + b.1, a.2 + b.2));
-    (
-        max,
-        if cnt == 0 {
-            0.0
-        } else {
-            sum as f64 / cnt as f64
-        },
-    )
+    let t = algo::sweep_01(g, &algo::all_nodes(g), |u, v| !part.same(u, v));
+    (t.max, t.average())
 }
 
 /// All three metrics, exactly.
@@ -109,41 +82,9 @@ pub fn module_graph(g: &Csr, part: &Partition) -> Csr {
 /// I-diameter and average I-distance via the quotient graph, weighting
 /// module pairs by their sizes. Exact whenever every module induces a
 /// connected subgraph of `g`; otherwise a lower bound.
-///
-/// Parallel-reduction audit: `(u32 max, u64 sum)` — associative and
-/// commutative, exact for any chunking (same for [`quotient_metrics_on`]).
 pub fn quotient_metrics(g: &Csr, part: &Partition) -> (u32, f64) {
     let q = module_graph(g, part);
-    let sizes = part.module_sizes();
-    let n_total: u64 = sizes.iter().map(|&s| s as u64).sum();
-    let (max, sum) = (0..q.node_count() as u32)
-        .into_par_iter()
-        .map(|a| {
-            let d = algo::bfs(&q, a);
-            let wa = sizes[a as usize] as u64;
-            let mut mx = 0u32;
-            let mut sm = 0u64;
-            for (b, &db) in d.iter().enumerate() {
-                if db == algo::UNREACHABLE {
-                    continue;
-                }
-                mx = mx.max(db);
-                sm += db as u64 * wa * sizes[b] as u64;
-            }
-            (mx, sm)
-        })
-        // Parallel-reduction audit: `(u32 max, u64 sum)` — associative and
-        // commutative, exact for any chunking (see doc comment).
-        .reduce(|| (0, 0), |x, y| (x.0.max(y.0), x.1 + y.1));
-    let pairs = n_total * (n_total - 1);
-    (
-        max,
-        if pairs == 0 {
-            0.0
-        } else {
-            sum as f64 / pairs as f64
-        },
-    )
+    quotient_metrics_on(&q, &part.module_sizes(), &algo::all_nodes(&q))
 }
 
 /// Quotient-based metrics estimated from a subset of quotient sources
@@ -154,8 +95,9 @@ pub fn quotient_metrics_sampled(g: &Csr, part: &Partition, sources: &[u32]) -> (
     quotient_metrics_on(&q, &part.module_sizes(), sources)
 }
 
-/// Core of [`quotient_metrics_sampled`], reusable when the quotient graph
-/// is constructed directly (without materializing the base network).
+/// Core of [`quotient_metrics`] and [`quotient_metrics_sampled`], reusable
+/// when the quotient graph is constructed directly (without materializing
+/// the base network). Sources are quotient nodes.
 pub fn quotient_metrics_on(q: &Csr, sizes: &[usize], sources: &[u32]) -> (u32, f64) {
     let n_total: u64 = sizes.iter().map(|&s| s as u64).sum();
     let (max, sum, denom) = sources
@@ -172,10 +114,9 @@ pub fn quotient_metrics_on(q: &Csr, sizes: &[usize], sources: &[u32]) -> (u32, f
                 mx = mx.max(db);
                 sm += db as u64 * wa * sizes[b] as u64;
             }
-            // ordered pairs with this source module: wa·(N−1) minus the
-            // wa·(wa−1) same-module pairs... same-module pairs contribute 0
-            // distance but do count in the denominator.
-            (mx, sm, wa * (n_total - 1))
+            // Each of the wa nodes of module a pairs with the N − 1 other
+            // nodes; its wa − 1 module mates are at distance 0 but count.
+            (mx, sm, wa * n_total.saturating_sub(1))
         })
         // Parallel-reduction audit: `(u32 max, u64 sum, u64 sum)` —
         // associative/commutative per component, exact for any chunking.
@@ -298,6 +239,17 @@ mod tests {
         let (dq, aq) = quotient_metrics(&g, &p);
         assert_eq!(de, dq);
         assert!((ae - aq).abs() < 1e-9);
+    }
+
+    #[test]
+    fn empty_graph_metrics_are_zero() {
+        let g = Csr::from_edges(0, [], true);
+        let p = Partition::singletons(0);
+        assert_eq!(quotient_metrics(&g, &p), (0, 0.0));
+        assert_eq!(exact_distance_metrics(&g, &p), (0, 0.0));
+        // One empty module as the only source: no pairs at all.
+        let q = Csr::from_edges(1, [], true);
+        assert_eq!(quotient_metrics_on(&q, &[0], &[0]), (0, 0.0));
     }
 
     #[test]

@@ -50,6 +50,53 @@ fn factorial(l: u64) -> u64 {
     (1..=l).product()
 }
 
+/// Strategy: a random graph on `0..200` nodes (directed, or symmetrized
+/// when `sym` is 1), a random partition whose modules are often
+/// disconnected, and a random source list with repeats.
+fn graph_partition_sources() -> impl Strategy<Value = (Csr, Partition, Vec<u32>)> {
+    (0usize..200, 0usize..2).prop_perturb(|(n, sym), mut rng| {
+        let nu = n.max(1) as u32;
+        let arcs = (rng.next_u32() as usize) % (3 * n + 1);
+        let edges: Vec<(u32, u32)> = (0..arcs)
+            .map(|_| (rng.next_u32() % nu, rng.next_u32() % nu))
+            .collect();
+        let g = Csr::from_edges(n, edges, sym == 1);
+        let modules = 1 + (rng.next_u32() as usize) % (n / 3 + 1);
+        let class = (0..n).map(|_| rng.next_u32() % modules as u32).collect();
+        let sources = (0..(rng.next_u32() as usize) % (n + 1))
+            .map(|_| rng.next_u32() % nu)
+            .collect();
+        (g, Partition::new(class, modules), sources)
+    })
+}
+
+/// Independent oracle for `algo::sweep_01`: fold per-source scalar
+/// distances into `(max, sum, pairs, complete)` over ordered pairs of
+/// distinct nodes.
+fn fold_distances(sources: &[u32], dist: impl Fn(u32) -> Vec<u32>) -> algo::SweepTotals {
+    let mut t = algo::SweepTotals {
+        max: 0,
+        sum: 0,
+        pairs: 0,
+        complete: true,
+    };
+    for &s in sources {
+        for (v, &d) in dist(s).iter().enumerate() {
+            if v as u32 == s {
+                continue;
+            }
+            if d == algo::UNREACHABLE {
+                t.complete = false;
+            } else {
+                t.max = t.max.max(d);
+                t.sum += d as u64;
+                t.pairs += 1;
+            }
+        }
+    }
+    t
+}
+
 proptest! {
     #[test]
     fn perm_inverse_roundtrip(p in perm(8)) {
@@ -156,6 +203,30 @@ proptest! {
         for v in 0..n {
             prop_assert!(di[v] <= d[v]);
         }
+    }
+
+    #[test]
+    fn sweep_matches_scalar_bfs_fold(case in graph_partition_sources()) {
+        let (g, part, sources) = case;
+        let all = algo::all_nodes(&g);
+        let off = |u: u32, v: u32| !part.same(u, v);
+        let plain = fold_distances(&all, |s| algo::bfs(&g, s));
+        let zero_one = fold_distances(&all, |s| algo::bfs_01(&g, s, off));
+        prop_assert_eq!(algo::sweep(&g, &all), plain);
+        prop_assert_eq!(algo::sweep_01(&g, &all, off), zero_one);
+        prop_assert_eq!(
+            algo::sweep_01(&g, &sources, off),
+            fold_distances(&sources, |s| algo::bfs_01(&g, s, off))
+        );
+        let sampled = fold_distances(&sources, |s| algo::bfs(&g, s));
+        prop_assert_eq!(algo::sweep(&g, &sources), sampled);
+        // The public wrappers read the same totals.
+        let scalar_diameter = if plain.complete { plain.max } else { algo::UNREACHABLE };
+        prop_assert_eq!(algo::diameter(&g), scalar_diameter);
+        let avg = |t: algo::SweepTotals| if t.pairs == 0 { 0.0 } else { t.sum as f64 / t.pairs as f64 };
+        prop_assert_eq!(algo::average_distance(&g), avg(plain));
+        prop_assert_eq!(algo::average_distance_from_sources(&g, &sources), avg(sampled));
+        prop_assert_eq!(imetrics::exact_distance_metrics(&g, &part), (zero_one.max, avg(zero_one)));
     }
 
     #[test]
