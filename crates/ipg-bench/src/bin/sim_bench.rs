@@ -192,9 +192,42 @@ struct DistCase {
     beyond: DistBeyondCase,
 }
 
+/// Where the numbers came from: the figures are only comparable between
+/// runs whose provenance matches.
+#[derive(Serialize)]
+struct Provenance {
+    /// `git describe --always --dirty` of the tree the bench ran from.
+    git_describe: Option<String>,
+    /// `rustc -V` of the toolchain on `PATH`.
+    rustc: Option<String>,
+    /// Logical cores the host reports.
+    nproc: usize,
+    /// The `IPG_THREADS` setting, as given (unset: the pool auto-sizes).
+    ipg_threads_env: Option<String>,
+    /// The injection-refill lane kernel this CPU selected.
+    injection_kernel: &'static str,
+}
+
+fn provenance() -> Provenance {
+    let rustc = std::process::Command::new("rustc")
+        .arg("-V")
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .map(|out| String::from_utf8_lossy(&out.stdout).trim().to_string());
+    Provenance {
+        git_describe: ipg_obs::git_describe(),
+        rustc,
+        nproc: ipg_obs::host_cores(),
+        ipg_threads_env: std::env::var("IPG_THREADS").ok(),
+        injection_kernel: ipg_sim::rng::injection_kernel(),
+    }
+}
+
 #[derive(Serialize)]
 struct SimBench {
     bench: &'static str,
+    provenance: Provenance,
     ipg_threads: usize,
     common: CommonCase,
     beyond_table: BeyondTableCase,
@@ -289,6 +322,9 @@ fn main() {
         return;
     }
 
+    // Stamped before `report::start` rewrites the tracked manifest, so
+    // `git describe` sees the tree as it was checked out.
+    let provenance = provenance();
     let common_cfg = cfg(0.02, 200, 800, 500);
     let big_cfg = cfg(0.002, 20, 60, 60);
     let rep = report::start(
@@ -583,6 +619,7 @@ fn main() {
 
     let out = SimBench {
         bench: "sim_bench",
+        provenance,
         ipg_threads: rayon::current_num_threads(),
         common,
         beyond_table: beyond,

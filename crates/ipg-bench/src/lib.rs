@@ -80,7 +80,7 @@ pub fn capped_nucleus_partition(tn: &TupleNetwork, cap: usize) -> (Vec<u32>, usi
     }
     // chunk = largest power of two ≤ cap that divides m
     let mut chunk = 1usize;
-    while chunk * 2 <= cap && m % (chunk * 2) == 0 {
+    while chunk * 2 <= cap && m.is_multiple_of(chunk * 2) {
         chunk *= 2;
     }
     let n = tn.node_count();

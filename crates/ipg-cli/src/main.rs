@@ -380,11 +380,19 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
     } else {
         parse(netspec)?
     };
-    let rate: f64 = positional
-        .get(1)
-        .map(|s| s.parse().map_err(|_| format!("bad rate `{s}`")))
-        .transpose()?
-        .unwrap_or(0.01);
+    let rate: f64 = match positional.get(1) {
+        Some(s) => {
+            let rate: f64 = s.parse().map_err(|_| format!("bad rate `{s}`"))?;
+            if !SimConfig::valid_injection_rate(rate) {
+                return Err(format!(
+                    "bad rate `{s}`: the injection rate is a probability per node \
+                     per cycle and must be a finite number in [0, 1]"
+                ));
+            }
+            rate
+        }
+        None => 0.01,
+    };
     let cfg = SimConfig {
         injection_rate: rate,
         warmup_cycles: 500,

@@ -319,7 +319,11 @@ pub mod avg_distance {
     pub fn ring(n: u64) -> f64 {
         let mut total = 0u64;
         for d in 1..=n / 2 {
-            let count = if n % 2 == 0 && d == n / 2 { 1 } else { 2 };
+            let count = if n.is_multiple_of(2) && d == n / 2 {
+                1
+            } else {
+                2
+            };
             total += d * count;
         }
         total as f64 / (n - 1) as f64

@@ -112,7 +112,7 @@ pub fn substar_partition(labels: &[Vec<u8>], k: usize) -> Partition {
 /// Rectangular-block packing for a 2-D torus `k × k` (node id =
 /// `x + k·y`): modules are `bx × by` blocks (`k` must be divisible by both).
 pub fn torus_block_partition(k: usize, bx: usize, by: usize) -> Partition {
-    assert!(k % bx == 0 && k % by == 0);
+    assert!(k.is_multiple_of(bx) && k.is_multiple_of(by));
     let per_row = k / bx;
     let class: Vec<u32> = (0..(k * k) as u32)
         .map(|v| {

@@ -518,6 +518,13 @@ pub fn git_describe() -> Option<String> {
     (!s.is_empty()).then_some(s)
 }
 
+/// Logical cores the host reports (1 when it cannot tell), for stamping
+/// benchmark provenance. Host-dependent by nature, so it lives here with
+/// the other environment reads rather than in any computation.
+pub fn host_cores() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
 fn unix_ts() -> u64 {
     std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)

@@ -272,7 +272,7 @@ impl ShardTracer {
     /// Whether `cycle` is a sampling cycle under this tracer's interval.
     #[inline]
     pub fn sampled(&self, cycle: u64) -> bool {
-        cycle % self.interval as u64 == 0
+        cycle.is_multiple_of(self.interval as u64)
     }
 
     /// Events evicted so far from this tracer's ring.

@@ -397,6 +397,11 @@ fn put_sim_config(b: &mut WireBuf, cfg: &SimConfig) {
 
 fn take_sim_config(c: &mut WireCursor<'_>) -> std::result::Result<SimConfig, String> {
     let injection_rate = c.take_f64("cfg.injection_rate")?;
+    if !SimConfig::valid_injection_rate(injection_rate) {
+        return Err(format!(
+            "cfg.injection_rate {injection_rate} is not a probability in [0, 1]"
+        ));
+    }
     let warmup_cycles = c.take_u32("cfg.warmup_cycles")?;
     let measure_cycles = c.take_u32("cfg.measure_cycles")?;
     let drain_cycles = c.take_u32("cfg.drain_cycles")?;
@@ -1294,6 +1299,29 @@ mod tests {
         let bytes = b.seal();
         let err = frame_from_bytes::<SetupFrame>(&bytes).unwrap_err();
         assert!(err.contains("fault kind"), "unexpected error: {err}");
+    }
+
+    #[test]
+    fn non_probability_injection_rates_are_rejected() {
+        for rate in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.1, 1.5] {
+            let mut setup = sample_setup();
+            setup.cfg.injection_rate = rate;
+            let bytes = frame_to_bytes(&setup);
+            let err = frame_from_bytes::<SetupFrame>(&bytes).unwrap_err();
+            assert!(err.contains("cfg.injection_rate"), "rate {rate}: {err}");
+            // Over a channel the same refusal surfaces as a Dist error.
+            let (mut a, fd) = FrameIo::coordinator_channel(0).unwrap();
+            let mut b = FrameIo::over(UnixStream::from(fd), 0);
+            a.frame_send(&setup).unwrap();
+            let err = b.frame_recv::<SetupFrame>().unwrap_err();
+            assert!(matches!(err, IpgError::Dist { .. }), "rate {rate}: {err}");
+        }
+        for rate in [0.0, 1.0] {
+            let mut setup = sample_setup();
+            setup.cfg.injection_rate = rate;
+            let bytes = frame_to_bytes(&setup);
+            assert_eq!(frame_from_bytes::<SetupFrame>(&bytes).unwrap(), setup);
+        }
     }
 
     #[test]

@@ -47,8 +47,9 @@
 //! an idle node or an empty FIFO. The engine therefore runs **sparse by
 //! default** (DESIGN.md §13):
 //!
-//! - injection decisions are drawn ahead of time in node-major chunks
-//!   from the same per-node streams ([`crate::rng::InjectionSchedule`]),
+//! - injection decisions are drawn ahead of time in chunks, 16 nodes'
+//!   streams stepped in lockstep, from the same per-node streams
+//!   ([`crate::rng::InjectionSchedule`]),
 //!   so each cycle touches only the nodes that actually inject — the
 //!   draw sequence per node is unchanged, so results stay byte-identical
 //!   to the dense loop;
@@ -159,6 +160,16 @@ impl Default for SimConfig {
             switching: Switching::StoreForward,
             traffic: Traffic::Uniform,
         }
+    }
+}
+
+impl SimConfig {
+    /// Is `rate` a usable [`SimConfig::injection_rate`]: a probability,
+    /// finite and within `[0, 1]`? NaN, infinities and out-of-range
+    /// values are refused at every entry point (the CLI, the dist frame
+    /// decoder) rather than silently clamped by the Bernoulli threshold.
+    pub fn valid_injection_rate(rate: f64) -> bool {
+        (0.0..=1.0).contains(&rate)
     }
 }
 
@@ -943,8 +954,8 @@ impl Shard {
             }
         } else {
             if self.sched.needs_refill(cycle) {
-                // Node-major chunk refill: replays the dense per-node draw
-                // sequence exactly (see [`InjectionSchedule`]).
+                // Chunk refill: replays the dense per-node draw sequence
+                // exactly (see [`InjectionSchedule`]).
                 let base = self.base;
                 let (n, traffic) = (pr.n, pr.traffic);
                 self.sched.refill(
@@ -1113,7 +1124,7 @@ fn pick_destination(n: u32, src: u32, traffic: Traffic, rng: &mut NodeRng) -> Op
         Traffic::Transpose => {
             assert!(n.is_power_of_two(), "transpose needs 2^k nodes");
             let bits = n.trailing_zeros();
-            assert!(bits % 2 == 0, "transpose needs an even bit width");
+            assert!(bits.is_multiple_of(2), "transpose needs an even bit width");
             let half = bits / 2;
             let lo = src & ((1 << half) - 1);
             let hi = src >> half;

@@ -37,7 +37,7 @@
 //! # Sparse flit hot path
 //!
 //! The simulator is sparse by default (DESIGN.md §13): injection is
-//! precomputed in node-major chunks ([`crate::rng::InjectionSchedule`]),
+//! precomputed in chunks ([`crate::rng::InjectionSchedule`]),
 //! and the per-cycle link-service loop iterates a node [`Worklist`]
 //! instead of every link. The activation invariant is **exact**, not
 //! lazy: node `u` is on the worklist iff `demand[u] > 0`, where
@@ -530,7 +530,7 @@ struct Run<'a, R: Router> {
     /// packets destroyed by the fault campaign.
     dropped: u64,
     c_dropped: Counter,
-    /// chunked node-major injection precompute (sparse mode only).
+    /// chunked injection precompute (sparse mode only).
     sched: InjectionSchedule,
     /// nodes with demand (pending source packets or buffered input
     /// flits); bit set iff `demand > 0`, in dense and sparse mode alike.

@@ -45,6 +45,12 @@ IPG_THREADS=1 cargo test -q
 stage "property tests, 256 cases"
 PROPTEST_CASES=256 cargo test -q --release --test proptests
 
+stage "injection lane kernels, optimised (rng::)"
+# The refill kernel is only vectorised at opt-level >= 2, and worklist.rs
+# documents a miscompile that showed only there: run every lane-kernel
+# instantiation against the scalar reference in a release build too.
+cargo test -q --release -p ipg-sim rng::
+
 stage "benches compile"
 cargo bench --workspace --no-run
 

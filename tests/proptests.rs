@@ -702,6 +702,60 @@ proptest! {
     }
 
     #[test]
+    fn lane_refill_matches_node_major_draws(
+        dead_bits in proptest::collection::vec(0u8..4, 0..120),
+        dead_group in 0u32..9,
+        span in 1u32..300,
+        rate_milli in 0u32..1001,
+        seed in 0u64..1 << 40,
+    ) {
+        // The injection schedule's lane kernel against a node-major scalar
+        // loop over the same streams, two chunks in a row: identical
+        // buckets and identical final node states. Rates lean small (the
+        // square of a uniform draw); a node is dead with probability 1/4,
+        // and one 16-node group is dead outright.
+        use ipgraph::sim::rng::{
+            bernoulli, bernoulli_threshold, node_stream, InjectionSchedule, NodeRng,
+        };
+        use rand::Rng;
+        let n = dead_bits.len() as u32;
+        let rate = (f64::from(rate_milli) / 1000.0).powi(2);
+        let dead = |v: u32| dead_bits[v as usize] == 0 || v / 16 == dead_group;
+        let pick = |v: u32, rng: &mut NodeRng| {
+            if rng.gen::<f64>() < 0.25 {
+                None
+            } else {
+                Some(v ^ rng.gen_range(1..64u32))
+            }
+        };
+        let mut ours: Vec<NodeRng> = (0..n).map(|v| node_stream(seed, v)).collect();
+        let mut reference = ours.clone();
+        let mut sched = InjectionSchedule::default();
+        let threshold = bernoulli_threshold(rate);
+        for chunk in 0..2 {
+            let cycles = chunk * span..(chunk + 1) * span;
+            sched.refill(cycles.clone(), n, rate, &mut ours, dead, pick);
+            let mut want = vec![Vec::new(); span as usize];
+            for (v, rng) in (0u32..).zip(reference.iter_mut()) {
+                if dead(v) {
+                    continue;
+                }
+                for bucket in &mut want {
+                    if bernoulli(rng, threshold) {
+                        if let Some(d) = pick(v, rng) {
+                            bucket.push((v, d));
+                        }
+                    }
+                }
+            }
+            for (cycle, bucket) in cycles.zip(&want) {
+                prop_assert_eq!(sched.due(cycle), &bucket[..]);
+            }
+            prop_assert_eq!(&ours, &reference);
+        }
+    }
+
+    #[test]
     fn router_paths_valid_on_random_pairs(pairs in proptest::collection::vec((0u32..64, 0u32..64), 1..8)) {
         let spec = SuperIpSpec::hsn(3, NucleusSpec::hypercube(1));
         let ip = spec.to_ip_spec().generate().unwrap();
