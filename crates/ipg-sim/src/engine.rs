@@ -47,8 +47,8 @@
 //! an idle node or an empty FIFO. The engine therefore runs **sparse by
 //! default** (DESIGN.md §13):
 //!
-//! - injection decisions are drawn ahead of time in chunks, 16 nodes'
-//!   streams stepped in lockstep, from the same per-node streams
+//! - injection decisions are drawn ahead of time in chunks from the same
+//!   per-node streams, 16 nodes' streams stepped in lockstep
 //!   ([`crate::rng::InjectionSchedule`]),
 //!   so each cycle touches only the nodes that actually inject — the
 //!   draw sequence per node is unchanged, so results stay byte-identical

@@ -163,8 +163,8 @@ pub fn bernoulli(rng: &mut NodeRng, threshold: u64) -> bool {
 /// memory traffic at low injection rates); small enough that a shard's
 /// per-cycle event buckets stay cache-sized.
 ///
-/// Within a chunk the refill runs cycle-major over each group of
-/// [`LANES`] consecutive nodes. That reorders draws *across* nodes only:
+/// Within a chunk the refill runs cycle-major over each group of 16
+/// consecutive nodes. That reorders draws *across* nodes only:
 /// every node still makes its own draws in cycle order, so the values it
 /// draws — and the decisions they make — are those of the dense loop.
 pub const SCHEDULE_CHUNK: u32 = 256;
@@ -185,8 +185,8 @@ const LANES: usize = 16;
 /// The refill records `(node, destination)` events bucketed by cycle;
 /// the per-cycle hot path then touches only nodes that actually inject.
 ///
-/// **Lane lockstep order.** The refill loads [`LANES`] consecutive
-/// nodes' states into struct-of-arrays lanes, steps all of them once per
+/// **Lane lockstep order.** The refill loads 16 consecutive nodes'
+/// states into struct-of-arrays lanes, steps all of them once per
 /// cycle offset, and handles the (rare) hitting lanes in ascending node
 /// order before the next offset. Groups run in ascending node order, so
 /// each bucket receives its events in node order — the order the dense
@@ -371,8 +371,9 @@ fn lane_refill(r: Refill<'_>) {
 }
 
 /// One instantiation of [`lane_refill`], compiled for one instruction
-/// set. Values exist only for instantiations this CPU can execute:
-/// [`supported_kernels`] is the sole source, and it asks the CPU first.
+/// set. Values exist only for instantiations this CPU can execute: the
+/// sources are [`PLAIN`], which any CPU runs, and [`supported_kernels`],
+/// which asks the CPU first.
 #[derive(Clone, Copy)]
 struct LaneKernel {
     name: &'static str,
@@ -393,6 +394,7 @@ impl LaneKernel {
     }
 }
 
+/// The baseline instantiation, valid on every CPU of the target.
 const PLAIN: LaneKernel = LaneKernel {
     name: "plain",
     body: lanes_plain,
