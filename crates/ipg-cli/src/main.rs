@@ -236,6 +236,13 @@ fn cmd_layout(net: &ParsedNetwork) -> Result<(), String> {
     if net.graph.node_count() > 4_096 {
         return Err("layout analysis capped at 4096 nodes".into());
     }
+    if net.graph.node_count() < 2 {
+        return Err(format!(
+            "layout analysis bisects the network, which needs at least 2 nodes; {} has {}",
+            net.name,
+            net.graph.node_count()
+        ));
+    }
     let b = ipg_layout::bisection::bisection_width_kl(&net.graph, 16, 0xcafe);
     println!("network:            {}", net.name);
     println!("bisection (KL ub):  {b}");

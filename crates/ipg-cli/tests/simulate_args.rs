@@ -1,7 +1,9 @@
 //! Argument validation for `ipg simulate`: an injection rate is a
 //! probability, so anything that is not a finite number in `[0, 1]` is
 //! refused with a contextual error and a non-zero exit before any
-//! simulation runs.
+//! simulation runs. Degenerate networks run instead of panicking: a
+//! one-node network has no destination other than the source, so it
+//! injects nothing.
 
 use std::process::Command;
 
@@ -49,4 +51,42 @@ fn boundary_rates_run() {
         let stdout = String::from_utf8_lossy(&out.stdout);
         assert!(stdout.contains("rate:"), "rate `{rate}`: {stdout}");
     }
+}
+
+fn ipg(args: &[&str]) -> std::process::Output {
+    Command::new(env!("CARGO_BIN_EXE_ipg"))
+        .args(args)
+        .output()
+        .expect("spawn ipg")
+}
+
+#[test]
+fn one_node_networks_simulate_without_injecting() {
+    let runs: [&[&str]; 4] = [
+        &["simulate", "complete:1", "0.5"],
+        &["simulate", "star:1", "0.5"],
+        &["simulate", "complete:1", "0.5", "--wormhole"],
+        &["simulate", "complete:1", "0.5", "--workers", "2"],
+    ];
+    for args in runs {
+        let out = ipg(args);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            out.status.success(),
+            "ipg {args:?} failed: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert!(stdout.contains("injected:   0\n"), "ipg {args:?}: {stdout}");
+    }
+}
+
+#[test]
+fn one_node_layout_is_refused_with_context() {
+    let out = ipg(&["layout", "complete:1"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert!(
+        stderr.contains("at least 2 nodes") && stderr.contains("has 1"),
+        "unexpected error: {stderr}"
+    );
 }

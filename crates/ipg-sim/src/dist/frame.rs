@@ -38,7 +38,7 @@ use crate::fault::{FaultEvent, FaultKind};
 /// Wire magic: the first three header bytes.
 const WIRE_MAGIC: [u8; 3] = *b"IPG";
 /// Wire format version; bumped on any layout change.
-pub(crate) const WIRE_VERSION: u8 = 1;
+pub(crate) const WIRE_VERSION: u8 = 2;
 /// Header size: magic(3) + version(1) + kind(1) + flags(1) + len(4).
 const HEADER_LEN: usize = 10;
 /// Refuse frames claiming more than 1 GiB of payload.
@@ -609,7 +609,6 @@ pub(crate) struct SetupFrame {
     pub(crate) window: u32,
     pub(crate) track: bool,
     pub(crate) track_links: bool,
-    pub(crate) dense: bool,
     /// A fault plan is installed (possibly with zero events) — this
     /// changes engine behavior independent of the event list.
     pub(crate) faulted: bool,
@@ -636,7 +635,6 @@ impl DistFrame for SetupFrame {
         b.put_u32(self.window);
         b.put_bool(self.track);
         b.put_bool(self.track_links);
-        b.put_bool(self.dense);
         b.put_bool(self.faulted);
         match self.trace {
             Some((interval, capacity)) => {
@@ -666,7 +664,6 @@ impl DistFrame for SetupFrame {
         let window = c.take_u32("setup.window")?;
         let track = c.take_bool("setup.track")?;
         let track_links = c.take_bool("setup.track_links")?;
-        let dense = c.take_bool("setup.dense")?;
         let faulted = c.take_bool("setup.faulted")?;
         let has_trace = c.take_bool("setup.trace")?;
         let interval = c.take_u32("setup.trace.interval")?;
@@ -686,7 +683,6 @@ impl DistFrame for SetupFrame {
             window,
             track,
             track_links,
-            dense,
             faulted,
             trace,
             netspec,
@@ -1054,7 +1050,6 @@ mod tests {
             window: 500,
             track: true,
             track_links: true,
-            dense: false,
             faulted: true,
             trace: Some((64, 16384)),
             netspec: "ring-cn:l=3,nucleus=Q3".to_string(),

@@ -107,7 +107,7 @@ pub fn worker_main(
     let c_dropped = obs.counter("engine.dropped_unreachable");
     let dobs = DeliveryObs::attach(&obs);
 
-    let pr = cycle_params(setup.n, &setup.cfg, setup.max_interval, setup.dense);
+    let pr = cycle_params(setup.n, &setup.cfg, setup.max_interval);
     let trace_cfg = setup.trace.map(|(interval, capacity)| TraceConfig {
         interval,
         capacity: capacity as usize,

@@ -43,26 +43,26 @@
 //!
 //! # Sparse cycle kernel
 //!
-//! At low injection rates almost every dense per-cycle iteration visits
-//! an idle node or an empty FIFO. The engine therefore runs **sparse by
-//! default** (DESIGN.md §13):
+//! At low injection rates almost every node is idle and almost every
+//! FIFO empty in a given cycle, so the cycle loop visits only what can
+//! act (DESIGN.md §13):
 //!
-//! - injection decisions are drawn ahead of time in chunks from the same
+//! - injection decisions are drawn ahead of time in chunks from the
 //!   per-node streams, 16 nodes' streams stepped in lockstep
-//!   ([`crate::rng::InjectionSchedule`]),
-//!   so each cycle touches only the nodes that actually inject — the
-//!   draw sequence per node is unchanged, so results stay byte-identical
-//!   to the dense loop;
+//!   ([`crate::rng::InjectionSchedule`]), so each cycle touches only the
+//!   nodes that actually inject — each node still makes one Bernoulli
+//!   draw per cycle, in cycle order;
 //! - link service iterates a [`crate::worklist::Worklist`] of non-empty
-//!   FIFOs in ascending link order (the relative order the dense loop
-//!   visited them in), maintained by the `fifo_push`/`fifo_pop` helpers
-//!   that every queue mutation — including fault drains — goes through;
+//!   FIFOs in ascending link order, maintained by the
+//!   `fifo_push`/`fifo_pop` helpers that every queue mutation —
+//!   including fault drains — goes through;
 //! - phase B's arrival wheel is indexed by slot already; occupancy
 //!   counters make empty slots and the end-of-run `tagged_in_flight`
 //!   accounting O(1).
 //!
-//! The dense iteration survives behind [`Simulator::set_dense`] (or
-//! `IPG_DENSE_ENGINE=1`) as the byte-equality oracle for tests.
+//! The equality oracle is a separate, deliberately naive model under
+//! `tests/support/reference.rs`: one global pass per cycle over every
+//! node and every link, with no shards, pools, wheel or worklists.
 //!
 //! # Routing
 //!
@@ -72,9 +72,7 @@
 //! (O(1) memory per query), which lifts the node-count ceiling entirely.
 
 use crate::fault::{FaultPlan, LocalFault, ShardFaults};
-use crate::rng::{
-    bernoulli, bernoulli_threshold, node_stream, InjectionSchedule, NodeRng, SCHEDULE_CHUNK,
-};
+use crate::rng::{node_stream, InjectionSchedule, NodeRng, SCHEDULE_CHUNK};
 use crate::router::Router;
 use crate::table::RoutingTable;
 use crate::worklist::Worklist;
@@ -346,9 +344,13 @@ impl Links {
 #[derive(Clone, Copy, Default)]
 struct ShardStats {
     injected: u64,
+    /// Injections of every packet, tagged or not.
+    injected_all: u64,
     delivered: u64,
     unmeasured: u64,
     dropped: u64,
+    /// Drops of every packet, tagged or not.
+    dropped_all: u64,
     latency_sum: u64,
     max_latency: u32,
 }
@@ -372,8 +374,7 @@ pub(crate) struct Shard {
     /// Chunked injection events precomputed from the node streams.
     sched: InjectionSchedule,
     /// Links with a non-empty FIFO. Iterated ascending by the phase-A
-    /// service loop — the same relative order the dense `0..links` scan
-    /// serviced them in, so launch sequences are byte-identical.
+    /// service loop, so launches leave in link order.
     active_links: Worklist,
     /// Scratch for snapshotting `active_links` while the loop mutates it.
     active_scratch: Vec<u32>,
@@ -431,9 +432,6 @@ impl DeliveryObs {
 pub(crate) struct RunParams {
     n: u32,
     injection_rate: f64,
-    /// `rng::bernoulli_threshold(injection_rate)`, precomputed once: the
-    /// injection draw is the single hottest RNG site in the engine.
-    inj_threshold: u64,
     traffic: Traffic,
     msg_len: u32,
     store_forward: bool,
@@ -442,10 +440,6 @@ pub(crate) struct RunParams {
     pub(crate) wheel_len: u32,
     tail_penalty: u32,
     pub(crate) total_cycles: u32,
-    /// Dense-oracle mode: iterate every node and link as the pre-sparse
-    /// engine did. Byte-identical to the sparse path by construction;
-    /// kept as the equality oracle (`IPG_DENSE_ENGINE=1` / `set_dense`).
-    dense: bool,
 }
 
 /// Derive one run's [`RunParams`] from the config. `max_interval` must
@@ -453,7 +447,7 @@ pub(crate) struct RunParams {
 /// — a distributed worker receives it from the coordinator rather than
 /// computing it from its local shard range, or wheel geometry (and
 /// therefore arrival timing) would diverge between processes.
-pub(crate) fn cycle_params(n: u32, cfg: &SimConfig, max_interval: u32, dense: bool) -> RunParams {
+pub(crate) fn cycle_params(n: u32, cfg: &SimConfig, max_interval: u32) -> RunParams {
     let msg_len = cfg.message_length.max(1);
     // Arrival wheel: one slot per possible head-advance value. A link
     // with service interval k serves one message per k·L cycles; the
@@ -463,7 +457,6 @@ pub(crate) fn cycle_params(n: u32, cfg: &SimConfig, max_interval: u32, dense: bo
     RunParams {
         n,
         injection_rate: cfg.injection_rate,
-        inj_threshold: bernoulli_threshold(cfg.injection_rate),
         traffic: cfg.traffic,
         msg_len,
         store_forward: cfg.switching == Switching::StoreForward,
@@ -477,7 +470,6 @@ pub(crate) fn cycle_params(n: u32, cfg: &SimConfig, max_interval: u32, dense: bo
             Switching::CutThrough => (msg_len - 1) * cfg.on_module_interval,
         },
         total_cycles: cfg.warmup_cycles + cfg.measure_cycles + cfg.drain_cycles,
-        dense,
     }
 }
 
@@ -792,6 +784,7 @@ impl Shard {
         if tagged {
             self.stats.dropped += 1;
         }
+        self.stats.dropped_all += 1;
         c_dropped.incr();
     }
 
@@ -843,8 +836,8 @@ impl Shard {
         }
     }
 
-    /// Shared injection tail for the dense and scheduled paths: stat and
-    /// counter updates plus routing the new packet into a FIFO.
+    /// One injection: stat and counter updates plus routing the new
+    /// packet into a FIFO.
     #[inline]
     #[allow(clippy::too_many_arguments)]
     fn inject_one<R: Router + ?Sized>(
@@ -864,6 +857,7 @@ impl Shard {
             self.stats.injected += 1;
             c_injected.incr();
         }
+        self.stats.injected_all += 1;
         c_injected_all.incr();
         self.accept(src, dst, cycle, tagged, router, fv, c_dropped);
     }
@@ -904,9 +898,8 @@ impl Shard {
     /// Phase A: apply kills due this cycle (plan order), then injection
     /// (node order), then link service (link order), launching departures
     /// into the local outbox. Counter updates are atomic adds,
-    /// order-independent across shards. Sparse by default: injection
-    /// comes off the chunked schedule, service off the active-link
-    /// worklist; `pr.dense` re-enables the full scans as the oracle.
+    /// order-independent across shards. Injection comes off the chunked
+    /// schedule, service off the active-link worklist.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn phase_a<R: Router + ?Sized>(
         &mut self,
@@ -924,88 +917,51 @@ impl Shard {
             }
         }
         let mut injected_now = 0u32;
-        if pr.dense {
-            for local in 0..self.node_count {
-                let src = self.base + local;
-                if fv.is_some_and(|view| view.node_dead(src)) {
-                    continue; // dead nodes neither draw nor inject
-                }
-                let inject = bernoulli(&mut self.rngs[local as usize], pr.inj_threshold);
-                if !inject {
-                    continue;
-                }
-                let Some(dst) =
-                    pick_destination(pr.n, src, pr.traffic, &mut self.rngs[local as usize])
-                else {
-                    continue;
-                };
-                injected_now += 1;
-                self.inject_one(
-                    src,
-                    dst,
-                    cycle,
-                    pr,
-                    router,
-                    fv,
-                    c_injected,
-                    c_injected_all,
-                    c_dropped,
-                );
-            }
-        } else {
-            if self.sched.needs_refill(cycle) {
-                // Chunk refill: replays the dense per-node draw sequence
-                // exactly (see [`InjectionSchedule`]).
-                let base = self.base;
-                let (n, traffic) = (pr.n, pr.traffic);
-                self.sched.refill(
-                    cycle..cycle + SCHEDULE_CHUNK.min(pr.total_cycles - cycle),
-                    self.node_count,
-                    pr.injection_rate,
-                    &mut self.rngs,
-                    |local| fv.is_some_and(|view| view.node_dead(base + local)),
-                    |local, rng| pick_destination(n, base + local, traffic, rng),
-                );
-            }
-            // Index iteration: `inject_one` needs `&mut self` while the
-            // due bucket borrows `self.sched`.
-            for i in 0..self.sched.due(cycle).len() {
-                let (local, dst) = self.sched.due(cycle)[i];
-                let src = self.base + local;
-                if fv.is_some_and(|view| view.node_dead(src)) {
-                    continue; // died mid-chunk: the dense loop skips too
-                }
-                injected_now += 1;
-                self.inject_one(
-                    src,
-                    dst,
-                    cycle,
-                    pr,
-                    router,
-                    fv,
-                    c_injected,
-                    c_injected_all,
-                    c_dropped,
-                );
-            }
+        if self.sched.needs_refill(cycle) {
+            // Chunk refill: each node's draws in cycle order (see
+            // [`InjectionSchedule`]).
+            let base = self.base;
+            let (n, traffic) = (pr.n, pr.traffic);
+            self.sched.refill(
+                cycle..cycle + SCHEDULE_CHUNK.min(pr.total_cycles - cycle),
+                self.node_count,
+                pr.injection_rate,
+                &mut self.rngs,
+                |local| fv.is_some_and(|view| view.node_dead(base + local)),
+                |local, rng| pick_destination(n, base + local, traffic, rng),
+            );
         }
-        if pr.dense {
-            for li in 0..self.links.len() {
-                self.launch(li, cycle, pr);
+        // Index iteration: `inject_one` needs `&mut self` while the due
+        // bucket borrows `self.sched`.
+        for i in 0..self.sched.due(cycle).len() {
+            let (local, dst) = self.sched.due(cycle)[i];
+            let src = self.base + local;
+            if fv.is_some_and(|view| view.node_dead(src)) {
+                continue; // died mid-chunk: events past the death are void
             }
-        } else {
-            // Snapshot the non-empty links in ascending order — the same
-            // relative order the dense scan serviced them in. A launch can
-            // only *empty* a local FIFO (arrivals land via the wheel next
-            // phase), so the snapshot covers every link with work.
-            let mut scratch = std::mem::take(&mut self.active_scratch);
-            scratch.clear();
-            self.active_links.collect_into(&mut scratch);
-            for &li in &scratch {
-                self.launch(li as usize, cycle, pr);
-            }
-            self.active_scratch = scratch;
+            injected_now += 1;
+            self.inject_one(
+                src,
+                dst,
+                cycle,
+                pr,
+                router,
+                fv,
+                c_injected,
+                c_injected_all,
+                c_dropped,
+            );
         }
+        // Snapshot the non-empty links in ascending order. A launch can
+        // only *empty* a local FIFO (arrivals land via the wheel next
+        // phase), so the snapshot covers every link with work.
+        let mut scratch = std::mem::take(&mut self.active_scratch);
+        scratch.clear();
+        self.active_links.collect_into(&mut scratch);
+        for &li in &scratch {
+            self.launch(li as usize, cycle, pr);
+        }
+        self.active_scratch = scratch;
         let launched = self.outbox.len() as u64;
         if let Some(t) = self.tracer.as_mut() {
             if t.sampled(u64::from(cycle)) {
@@ -1105,17 +1061,21 @@ impl Shard {
 }
 
 /// Pick a destination for a packet injected at `src` (None when the
-/// pattern maps `src` to itself). Draws only from `src`'s own stream.
+/// pattern maps `src` to itself, or when the network has no other node).
+/// Draws only from `src`'s own stream.
 fn pick_destination(n: u32, src: u32, traffic: Traffic, rng: &mut NodeRng) -> Option<u32> {
     let uniform = |rng: &mut NodeRng| {
+        if n < 2 {
+            return None;
+        }
         let mut dst = rng.gen_range(0..n - 1);
         if dst >= src {
             dst += 1;
         }
-        dst
+        Some(dst)
     };
     match traffic {
-        Traffic::Uniform => Some(uniform(rng)),
+        Traffic::Uniform => uniform(rng),
         Traffic::BitComplement => {
             assert!(n.is_power_of_two(), "bit-complement needs 2^k nodes");
             let dst = !src & (n - 1);
@@ -1135,7 +1095,7 @@ fn pick_destination(n: u32, src: u32, traffic: Traffic, rng: &mut NodeRng) -> Op
             if rng.gen::<f64>() < fraction && target != src {
                 Some(target)
             } else {
-                Some(uniform(rng))
+                uniform(rng)
             }
         }
     }
@@ -1150,22 +1110,13 @@ pub struct Simulator<R: Router = RoutingTable> {
     shards: Vec<Shard>,
     max_interval: u32,
     plan: Option<FaultPlan>,
-    /// Dense-oracle mode (see [`Simulator::set_dense`]).
-    dense: bool,
-}
-
-/// Honor the `IPG_DENSE_ENGINE` escape hatch: any non-empty value other
-/// than `0` selects the dense oracle iteration for new simulators (both
-/// the packet engine and [`crate::wormhole::WormholeSim`]).
-pub(crate) fn dense_from_env() -> bool {
-    std::env::var_os("IPG_DENSE_ENGINE").is_some_and(|v| !v.is_empty() && v != "0")
 }
 
 /// The deterministic shard layout: `(shard_count, shard_size)` as a pure
 /// function of the node count — never of worker count or host state, so
 /// shard boundaries (and therefore results) are identical in-process and
 /// across any distributed worker split.
-pub(crate) fn shard_layout(n: usize) -> (usize, u32) {
+pub fn shard_layout(n: usize) -> (usize, u32) {
     let shard_count = (n / SHARD_TARGET_NODES).clamp(1, MAX_SHARDS);
     let shard_size = n.div_ceil(shard_count).max(1) as u32;
     (shard_count, shard_size)
@@ -1254,27 +1205,38 @@ impl<R: Router> Simulator<R> {
             shards,
             max_interval,
             plan: None,
-            dense: dense_from_env(),
         }
-    }
-
-    /// Select the dense oracle iteration (`true`) or the default sparse
-    /// kernel (`false`) for subsequent runs. The two are byte-identical
-    /// in every observable — results, obs records, traces — by the
-    /// DESIGN.md §13 activation invariant; the dense path survives as the
-    /// equality oracle for tests and benchmarks. `IPG_DENSE_ENGINE=1`
-    /// sets the same flag at construction time.
-    pub fn set_dense(&mut self, dense: bool) {
-        self.dense = dense;
     }
 
     /// Recompute every sparse-kernel counter and worklist bit from the
     /// underlying queue state and assert they agree — the DESIGN.md §13
-    /// activation invariant, checked the expensive way. Test-only
-    /// plumbing (proptests call it after each run); hidden from docs.
+    /// activation invariant, checked the expensive way — plus a closed
+    /// pool free list and conservation over every packet, tagged or not.
+    /// Test-only plumbing (the reference harness calls it after each
+    /// run); hidden from docs.
     #[doc(hidden)]
     pub fn validate_sparse_state(&self) {
+        let (mut injected, mut settled, mut in_flight) = (0u64, 0u64, 0u64);
         for (si, sh) in self.shards.iter().enumerate() {
+            // The free list is closed: every slot is either on it exactly
+            // once or live, and no live slot is on it.
+            let cap = sh.pool.dst.len();
+            let mut on_free = vec![false; cap];
+            let mut p = sh.pool.free;
+            while p != NIL {
+                assert!(
+                    (p as usize) < cap && !on_free[p as usize],
+                    "shard {si}: free list revisits or escapes at slot {p}"
+                );
+                on_free[p as usize] = true;
+                p = sh.pool.next[p as usize];
+            }
+            let free = on_free.iter().filter(|&&f| f).count();
+            assert_eq!(
+                sh.pool.live as usize + free,
+                cap,
+                "shard {si}: pool live + free"
+            );
             let mut queued = 0u64;
             let mut tagged_q = 0u64;
             let mut busy = vec![0u32; sh.node_count as usize];
@@ -1293,6 +1255,7 @@ impl<R: Router> Simulator<R> {
                 let mut p = sh.links.qhead[li];
                 let mut walked = 0u32;
                 while p != NIL {
+                    assert!(!on_free[p as usize], "shard {si}: queued slot {p} is free");
                     queued += 1;
                     if sh.pool.tagged[p as usize] {
                         tagged_q += 1;
@@ -1303,6 +1266,11 @@ impl<R: Router> Simulator<R> {
                 assert_eq!(walked, ql, "shard {si}: qlen desynced on link {li}");
             }
             assert_eq!(queued, sh.queued_total, "shard {si}: queued_total");
+            assert_eq!(
+                queued,
+                u64::from(sh.pool.live),
+                "shard {si}: live slots off a FIFO"
+            );
             assert_eq!(tagged_q, sh.tagged_queued, "shard {si}: tagged_queued");
             assert_eq!(busy, sh.node_busy, "shard {si}: node_busy");
             assert_eq!(
@@ -1315,7 +1283,12 @@ impl<R: Router> Simulator<R> {
             assert_eq!(wl, sh.wheel_live, "shard {si}: wheel_live");
             let tw = sh.wheel.iter().flatten().filter(|m| m.tagged).count() as u64;
             assert_eq!(tw, sh.tagged_wheel, "shard {si}: tagged_wheel");
+            injected += sh.stats.injected_all;
+            settled += sh.stats.delivered + sh.stats.unmeasured + sh.stats.dropped_all;
+            in_flight += queued + wl;
         }
+        // Conservation over every packet, tagged or not.
+        assert_eq!(injected, settled + in_flight, "packets created or lost");
     }
 
     /// The router driving next-hop decisions.
@@ -1376,7 +1349,7 @@ impl<R: Router> Simulator<R> {
         let track = obs.enabled();
 
         let total_cycles = cfg.warmup_cycles + cfg.measure_cycles + cfg.drain_cycles;
-        let pr = cycle_params(self.n as u32, cfg, self.max_interval, self.dense);
+        let pr = cycle_params(self.n as u32, cfg, self.max_interval);
         let wheel_len = pr.wheel_len;
 
         // Link-busy accounting feeds both the end-of-run utilization
@@ -1955,48 +1928,6 @@ mod tests {
         let b = run();
         assert_eq!(a, b);
         assert!(a.dropped_unreachable > 0, "node 7 dies with traffic around");
-    }
-
-    #[test]
-    fn dense_oracle_matches_sparse_byte_for_byte() {
-        let g = classic::torus2d(24); // multi-shard
-        let cfg = light_cfg();
-        let run = |dense: bool| {
-            let mut sim = Simulator::new(&g, |_| 0, &cfg);
-            sim.set_dense(dense);
-            let tc = TraceConfig::with_interval(100);
-            let (r, trace) = sim.run_traced(&cfg, &Obs::disabled(), 0, Some(&tc));
-            sim.validate_sparse_state();
-            (r, trace.unwrap().to_jsonl())
-        };
-        let (rs, ts) = run(false);
-        let (rd, td) = run(true);
-        assert_eq!(rs, rd, "sparse result must equal the dense oracle");
-        assert_eq!(ts, td, "trace streams must be byte-identical");
-    }
-
-    #[test]
-    fn dense_oracle_matches_sparse_under_faults() {
-        use crate::fault::{FaultPlan, FaultSpec};
-        use crate::router::DetourRouter;
-        let g = classic::torus2d(24); // multi-shard
-        let cfg = light_cfg();
-        let spec = FaultSpec::parse("script:node@600:7;rate:links=0.05,at=1500").unwrap();
-        let run = |dense: bool| {
-            let plan = FaultPlan::compile(&spec, &g, cfg.seed).unwrap();
-            let router = DetourRouter::new(RoutingTable::new(&g), g.clone()).unwrap();
-            let mut sim = Simulator::with_router(router, &g, |_| 0, &cfg);
-            sim.set_fault_plan(Some(plan));
-            sim.set_dense(dense);
-            let r = sim.run(&cfg);
-            sim.validate_sparse_state();
-            r
-        };
-        assert_eq!(
-            run(false),
-            run(true),
-            "fault campaigns must not split the kernels"
-        );
     }
 
     #[test]

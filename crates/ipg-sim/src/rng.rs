@@ -128,8 +128,10 @@ pub fn edge_stream(seed: u64, u: u32, v: u32) -> NodeRng {
 
 /// Integer Bernoulli threshold: `(next_u64() >> 11) < threshold` decides
 /// exactly like `rng.gen::<f64>() < rate` while skipping the int→float
-/// conversion and float compare in the hottest loop the engine has (one
-/// draw per node per cycle, every cycle).
+/// conversion and float compare in the hottest loop the engines have
+/// (one draw per node per cycle, every cycle). The reference model in
+/// `tests/support/reference.rs` draws the float form, so every run it is
+/// compared on checks this equivalence.
 ///
 /// Exactness: the vendored `Standard` f64 is `k·2⁻⁵³` with
 /// `k = next_u64() >> 11`, and both `k·2⁻⁵³` and `rate` are exact f64
@@ -148,25 +150,18 @@ pub fn bernoulli_threshold(rate: f64) -> u64 {
     }
 }
 
-/// One Bernoulli trial against a [`bernoulli_threshold`]: consumes exactly
-/// one `next_u64`, same decision as `rng.gen::<f64>() < rate`.
-#[inline]
-pub fn bernoulli(rng: &mut NodeRng, threshold: u64) -> bool {
-    use rand::RngCore;
-    (rng.next_u64() >> 11) < threshold
-}
-
 /// Cycles covered per [`InjectionSchedule::refill`]. Large enough that a
 /// lane group's generator states are loaded into the kernel's lanes once
-/// and stepped there for a whole chunk of Bernoulli draws (the dense
-/// engine re-touches every node's 32-byte state every cycle — pure
+/// and stepped there for a whole chunk of Bernoulli draws (a per-cycle
+/// loop would re-touch every node's 32-byte state every cycle — pure
 /// memory traffic at low injection rates); small enough that a shard's
 /// per-cycle event buckets stay cache-sized.
 ///
 /// Within a chunk the refill runs cycle-major over each group of 16
 /// consecutive nodes. That reorders draws *across* nodes only:
 /// every node still makes its own draws in cycle order, so the values it
-/// draws — and the decisions they make — are those of the dense loop.
+/// draws — and the decisions they make — are those of a loop that draws
+/// for every node every cycle.
 pub const SCHEDULE_CHUNK: u32 = 256;
 
 /// Nodes whose streams one refill group steps in lockstep: sixteen
@@ -174,14 +169,14 @@ pub const SCHEDULE_CHUNK: u32 = 256;
 /// state word.
 const LANES: usize = 16;
 
-/// Chunked injection schedule: the sparse engines' replacement for the
+/// Chunked injection schedule: the engines' replacement for the
 /// per-cycle "every node draws its Bernoulli" loop.
 ///
 /// A node's stream position depends only on how many draws it has made
 /// ([`node_stream`]), so its next `SCHEDULE_CHUNK` cycles of injection
 /// decisions can be drawn **ahead of time** — the per-node draw sequence
-/// (and therefore every drawn value) is identical to the dense
-/// cycle-major order, because streams never interleave across nodes.
+/// (and therefore every drawn value) is identical to the cycle-major
+/// order, because streams never interleave across nodes.
 /// The refill records `(node, destination)` events bucketed by cycle;
 /// the per-cycle hot path then touches only nodes that actually inject.
 ///
@@ -189,18 +184,18 @@ const LANES: usize = 16;
 /// states into struct-of-arrays lanes, steps all of them once per
 /// cycle offset, and handles the (rare) hitting lanes in ascending node
 /// order before the next offset. Groups run in ascending node order, so
-/// each bucket receives its events in node order — the order the dense
-/// injection loop used — and each node's `pick` runs on its own state
-/// right after its own Bernoulli draw, exactly as in the dense loop.
+/// each bucket receives its events in node order — the order a per-cycle
+/// injection loop visits them in — and each node's `pick` runs on its own
+/// state right after its own Bernoulli draw.
 ///
 /// **Masked lanes.** Lanes past `node_count` and nodes dead at refill
 /// time (`skip`) are masked: their threshold is zero, so they never hit,
 /// and their state is never written back. Kills are permanent, so a
 /// node skipped now can never draw again. Nodes that die *mid-chunk*
 /// have events already recorded past their death; callers must filter
-/// those at execution time with the same `node_dead` check the dense
-/// loop used. The extra pre-drawn values are unobservable: a dead node's
-/// stream is never consulted again.
+/// those at execution time with a `node_dead` check. The extra pre-drawn
+/// values are unobservable: a dead node's stream is never consulted
+/// again.
 #[derive(Default)]
 pub struct InjectionSchedule {
     /// First cycle the current chunk covers.
@@ -208,7 +203,7 @@ pub struct InjectionSchedule {
     /// Cycles covered (0 = nothing buffered; forces a refill).
     span: u32,
     /// Per cycle-offset event buckets: `(local node, destination)` in
-    /// node order — the order the dense injection loop used.
+    /// node order.
     buckets: Vec<Vec<(u32, u32)>>,
 }
 
@@ -230,9 +225,9 @@ impl InjectionSchedule {
 
     /// Draw injection decisions for the half-open `cycles` range from
     /// each live node's stream. `skip(local)` exempts dead nodes from
-    /// drawing; `pick(local, rng)` draws the destination exactly as the
-    /// dense path would (returning `None` for self-mapped patterns, which
-    /// consume their draws but inject nothing). `pick` must depend only
+    /// drawing; `pick(local, rng)` draws the destination right after a
+    /// node's successful Bernoulli draw (returning `None` for self-mapped
+    /// patterns, which consume their draws but inject nothing). `pick` must depend only
     /// on its arguments: calls for different nodes interleave in lane
     /// order, not node-major order.
     pub fn refill(
@@ -577,6 +572,13 @@ mod tests {
 
     /// A test destination picker.
     type Pick<'a> = &'a dyn Fn(u32, &mut NodeRng) -> Option<u32>;
+
+    /// One Bernoulli trial against a [`bernoulli_threshold`]: consumes
+    /// exactly one `next_u64`, same decision as `rng.gen::<f64>() < rate`.
+    fn bernoulli(rng: &mut NodeRng, threshold: u64) -> bool {
+        use rand::RngCore;
+        (rng.next_u64() >> 11) < threshold
+    }
 
     /// The node-major scalar refill the lane kernel replaced: each live
     /// node draws its whole chunk before the next node starts. The

@@ -36,29 +36,28 @@
 //!
 //! # Sparse flit hot path
 //!
-//! The simulator is sparse by default (DESIGN.md §13): injection is
-//! precomputed in chunks ([`crate::rng::InjectionSchedule`]),
-//! and the per-cycle link-service loop iterates a node [`Worklist`]
-//! instead of every link. The activation invariant is **exact**, not
-//! lazy: node `u` is on the worklist iff `demand[u] > 0`, where
-//! `demand[u]` counts `u`'s pending source-queue packets plus the flits
-//! buffered on `u`'s input VCs — precisely the state `step_link` can
-//! act on. Every queue mutation routes through `demand_add`/`demand_sub`
-//! (and the `buf_push`/`buf_pop` buffer helpers), so the bit and the
-//! queue state change together and the worklist is identical in dense
-//! and sparse mode. The sweep is a **live cursor** over ascending node
-//! ids — the dense link-major order, since links are CSR-grouped by
-//! source node — so a flit forwarded to a higher-numbered node this
-//! cycle is swept again this cycle, exactly as the dense loop revisits
-//! it. `step_link` short-circuits on `demand == 0` in *both* modes, so
-//! even credit-stall counts (probe failures) match byte for byte; the
-//! dense loop (`IPG_DENSE_ENGINE=1`) is kept as the oracle.
+//! Injection is precomputed in chunks
+//! ([`crate::rng::InjectionSchedule`]), and the per-cycle link-service
+//! loop iterates a node [`Worklist`] instead of every link (DESIGN.md
+//! §13). The activation invariant is **exact**, not lazy: node `u` is
+//! on the worklist iff `demand[u] > 0`, where `demand[u]` counts `u`'s
+//! pending source-queue packets plus the flits buffered on `u`'s input
+//! VCs — precisely the state `step_link` can act on. Every queue
+//! mutation routes through `demand_add`/`demand_sub` (and the
+//! `buf_push`/`buf_pop` buffer helpers), so the bit and the queue state
+//! change together. The sweep is a **live cursor** over ascending node
+//! ids — link-major order, since links are CSR-grouped by source node —
+//! so a flit forwarded to a higher-numbered node this cycle is swept
+//! again this cycle. A link whose source has no demand does nothing, not
+//! even a credit probe, so credit stalls count only probes with
+//! something to send.
+//!
+//! The equality oracle is a separate, deliberately naive model under
+//! `tests/support/reference.rs`: one `VecDeque` per (link, VC), serviced
+//! link-major over every link every cycle.
 
-use crate::engine::dense_from_env;
 use crate::fault::{FaultPlan, LocalFault, ShardFaults};
-use crate::rng::{
-    bernoulli, bernoulli_threshold, node_stream, InjectionSchedule, NodeRng, SCHEDULE_CHUNK,
-};
+use crate::rng::{node_stream, InjectionSchedule, NodeRng, SCHEDULE_CHUNK};
 use crate::router::Router;
 use crate::table::RoutingTable;
 use crate::worklist::Worklist;
@@ -131,7 +130,7 @@ impl Default for WormholeConfig {
 }
 
 /// Result of a wormhole run.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum WormholeOutcome {
     /// Ran to the cycle budget (or drained).
     Completed(WormholeStats),
@@ -163,7 +162,7 @@ impl WormholeOutcome {
 }
 
 /// Statistics of a completed run.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct WormholeStats {
     /// Packets injected.
     pub injected: u64,
@@ -265,9 +264,6 @@ pub struct WormholeSim<R: Router = RoutingTable> {
     link_of: Vec<u32>,
     /// compiled fault campaign applied by every run (None = fault-free).
     plan: Option<FaultPlan>,
-    /// iterate every link per cycle instead of the node worklist (the
-    /// dense oracle; see the module docs).
-    dense: bool,
 }
 
 impl WormholeSim<RoutingTable> {
@@ -310,16 +306,7 @@ impl<R: Router> WormholeSim<R> {
             in_links,
             link_of,
             plan: None,
-            dense: dense_from_env(),
         }
-    }
-
-    /// Select the dense (every link, every cycle) oracle iteration
-    /// instead of the worklist-driven sparse hot path. Both produce
-    /// byte-identical outcomes and traces; dense exists as the
-    /// equivalence oracle for tests and `IPG_DENSE_ENGINE=1` runs.
-    pub fn set_dense(&mut self, dense: bool) {
-        self.dense = dense;
     }
 
     /// Install (or clear) a compiled fault plan for subsequent runs. Dead
@@ -339,6 +326,11 @@ impl<R: Router> WormholeSim<R> {
             );
         }
         self.plan = plan;
+    }
+
+    /// The router driving next-hop decisions.
+    pub fn router(&self) -> &R {
+        &self.router
     }
 
     fn link_toward(&self, u: u32, v: u32) -> u32 {
@@ -389,6 +381,31 @@ impl<R: Router> WormholeSim<R> {
         obs: &Obs,
         window: u32,
         trace: Option<&TraceConfig>,
+    ) -> (WormholeOutcome, Option<Trace>) {
+        self.run_audited(cfg, obs, window, trace, false)
+    }
+
+    /// [`WormholeSim::run_traced`] followed by an audit of the final run
+    /// state that recomputes every counter, worklist bit and VC invariant
+    /// the expensive way. Test-only plumbing; hidden from docs.
+    #[doc(hidden)]
+    pub fn run_validated(
+        &self,
+        cfg: &WormholeConfig,
+        obs: &Obs,
+        window: u32,
+        trace: Option<&TraceConfig>,
+    ) -> (WormholeOutcome, Option<Trace>) {
+        self.run_audited(cfg, obs, window, trace, true)
+    }
+
+    fn run_audited(
+        &self,
+        cfg: &WormholeConfig,
+        obs: &Obs,
+        window: u32,
+        trace: Option<&TraceConfig>,
+        audit: bool,
     ) -> (WormholeOutcome, Option<Trace>) {
         let span = obs.span("wormhole_run");
         let track = obs.enabled();
@@ -452,10 +469,11 @@ impl<R: Router> WormholeSim<R> {
             in_flits: vec![0; self.n],
             in_nodes: 0,
             buffered_total: 0,
-            dense: self.dense,
-            inj_threshold: bernoulli_threshold(cfg.injection_rate),
         };
         let outcome = run.execute(obs, window);
+        if audit {
+            run.validate_wormhole_state();
+        }
         if track {
             obs.counter("wormhole.links")
                 .add(self.link_from.len() as u64);
@@ -530,10 +548,10 @@ struct Run<'a, R: Router> {
     /// packets destroyed by the fault campaign.
     dropped: u64,
     c_dropped: Counter,
-    /// chunked injection precompute (sparse mode only).
+    /// chunked injection precompute.
     sched: InjectionSchedule,
     /// nodes with demand (pending source packets or buffered input
-    /// flits); bit set iff `demand > 0`, in dense and sparse mode alike.
+    /// flits); bit set iff `demand > 0`.
     active: Worklist,
     /// snapshot buffer for the ejection pass over `active`.
     scratch: Vec<u32>,
@@ -545,10 +563,6 @@ struct Run<'a, R: Router> {
     in_nodes: u32,
     /// flits buffered network-wide (replaces the per-cycle arena scan).
     buffered_total: u64,
-    /// dense-oracle iteration? (copied from the parent simulator)
-    dense: bool,
-    /// `rng::bernoulli_threshold(cfg.injection_rate)`, precomputed once.
-    inj_threshold: u64,
 }
 
 impl<R: Router> Run<'_, R> {
@@ -613,9 +627,9 @@ impl<R: Router> Run<'_, R> {
         f
     }
 
-    /// Inject one packet `src → dst` (`dst != src`), replicating the
-    /// dense bookkeeping order: count the injection, then refuse the
-    /// launch if the faulted graph has no usable route.
+    /// Inject one packet `src → dst` (`dst != src`): count the
+    /// injection, then refuse the launch if the faulted graph has no
+    /// usable route.
     fn enqueue_packet(&mut self, src: u32, dst: u32, cycle: u32) {
         self.injected += 1;
         self.c_injected.incr();
@@ -635,32 +649,6 @@ impl<R: Router> Run<'_, R> {
     }
 
     fn inject(&mut self, cycle: u32) {
-        if self.dense {
-            for src in 0..self.sim.n as u32 {
-                if self.faulted && self.view.node_dead(src) {
-                    continue; // dead nodes neither draw their stream nor inject
-                }
-                let rng = &mut self.rngs[src as usize];
-                if !bernoulli(rng, self.inj_threshold) {
-                    continue;
-                }
-                let dst = match &self.cfg.traffic {
-                    WormTraffic::Uniform => {
-                        let mut d = rng.gen_range(0..self.sim.n as u32 - 1);
-                        if d >= src {
-                            d += 1;
-                        }
-                        d
-                    }
-                    WormTraffic::Fixed(map) => map[src as usize],
-                };
-                if dst == src {
-                    continue;
-                }
-                self.enqueue_packet(src, dst, cycle);
-            }
-            return;
-        }
         if self.sched.needs_refill(cycle) {
             let n = self.sim.n as u32;
             let cfg = self.cfg;
@@ -673,6 +661,8 @@ impl<R: Router> Run<'_, R> {
                 &mut self.rngs,
                 |src| faulted && view.node_dead(src),
                 |src, rng| match &cfg.traffic {
+                    // no destination differs from the source
+                    WormTraffic::Uniform if n < 2 => None,
                     WormTraffic::Uniform => {
                         let mut d = rng.gen_range(0..n - 1);
                         if d >= src {
@@ -681,7 +671,7 @@ impl<R: Router> Run<'_, R> {
                         Some(d)
                     }
                     // fixed patterns consume no destination draw; a
-                    // self-mapped source injects nothing (as dense)
+                    // self-mapped source injects nothing
                     WormTraffic::Fixed(map) => {
                         let d = map[src as usize];
                         (d != src).then_some(d)
@@ -836,9 +826,8 @@ impl<R: Router> Run<'_, R> {
         }
         let u = self.sim.link_from[link as usize];
         if self.demand[u as usize] == 0 {
-            // Nothing at u to send — skip the VC probes. Shared by both
-            // modes so even credit-stall counts match: a probe failure is
-            // only a stall when there was demand behind it.
+            // Nothing at u to send — skip the VC probes: a probe failure
+            // is only a credit stall when there was demand behind it.
             return false;
         }
         for probe in 0..self.cfg.vcs {
@@ -966,20 +955,14 @@ impl<R: Router> Run<'_, R> {
         true
     }
 
-    /// Eject flits that reached their destination.
+    /// Eject flits that reached their destination, visiting the
+    /// in-links of nodes with buffered input flits.
     ///
     /// Each `(link, vc)` buffer is drained independently and the
-    /// delivered/latency updates commute, so dense (link-major) and
-    /// sparse (active nodes → their in-links) orders produce identical
-    /// state and stats.
+    /// delivered/latency updates commute, so this order produces the
+    /// same state and stats as a link-major pass over every link.
     fn eject(&mut self, cycle: u32) -> bool {
         let mut moved = false;
-        if self.dense {
-            for link in 0..self.sim.link_to.len() as u32 {
-                moved |= self.eject_link(link, cycle);
-            }
-            return moved;
-        }
         // Snapshot: every node with buffered input flits has demand > 0
         // and is therefore on the worklist; ejection only shrinks it.
         let mut scratch = std::mem::take(&mut self.scratch);
@@ -1022,6 +1005,69 @@ impl<R: Router> Run<'_, R> {
         moved
     }
 
+    /// Recompute the occupancy counters, the demand worklist and the VC
+    /// invariants from the buffers and source queues, and assert they
+    /// agree: credits within `[0, depth]`, owners are live packets, dead
+    /// links hold no flit and no owner.
+    fn validate_wormhole_state(&self) {
+        let vcs = self.cfg.vcs;
+        let mut live = vec![false; self.packets.len()];
+        for q in &self.source {
+            for &(p, _) in q {
+                live[p as usize] = true;
+            }
+        }
+        let mut in_flits = vec![0u32; self.sim.n];
+        for sidx in 0..self.bufs.len.len() {
+            let len = self.bufs.len(sidx);
+            assert!(
+                len <= self.bufs.depth,
+                "VC {sidx}: {len} flits exceed its credits"
+            );
+            let dead = !self.link_dead.is_empty() && self.link_dead[sidx / vcs];
+            assert!(!dead || len == 0, "VC {sidx}: flits on a dead link");
+            in_flits[self.sim.link_to[sidx / vcs] as usize] += len as u32;
+            let head = self.bufs.head[sidx] as usize;
+            for i in 0..len {
+                let f = self.bufs.flits[sidx * self.bufs.depth + (head + i) % self.bufs.depth];
+                live[f.pkt as usize] = true;
+            }
+        }
+        for sidx in 0..self.bufs.owner.len() {
+            let owner = self.bufs.owner[sidx];
+            if owner != NO_OWNER {
+                assert!(
+                    (owner as usize) < live.len() && live[owner as usize],
+                    "VC {sidx}: owner {owner} is not a live packet"
+                );
+                assert!(
+                    self.link_dead.is_empty() || !self.link_dead[sidx / vcs],
+                    "VC {sidx}: a dead link keeps an owner"
+                );
+            }
+        }
+        assert_eq!(in_flits, self.in_flits, "per-node input flits");
+        assert_eq!(
+            in_flits.iter().filter(|&&f| f > 0).count() as u32,
+            self.in_nodes,
+            "in_nodes"
+        );
+        let buffered: u64 = in_flits.iter().map(|&f| u64::from(f)).sum();
+        assert_eq!(buffered, self.buffered_total, "buffered_total");
+        let mut active = 0u32;
+        for (v, (q, &flits)) in self.source.iter().zip(&in_flits).enumerate() {
+            let demand = q.len() as u32 + flits;
+            assert_eq!(demand, self.demand[v], "node {v}: demand");
+            assert_eq!(
+                self.active.contains(v as u32),
+                demand > 0,
+                "node {v}: worklist bit desynced from demand {demand}"
+            );
+            active += u32::from(demand > 0);
+        }
+        assert_eq!(active, self.active.len(), "worklist len");
+    }
+
     fn execute(&mut self, obs: &Obs, window: u32) -> WormholeOutcome {
         let mut idle = 0u32;
         for cycle in 0..self.cfg.cycles {
@@ -1036,26 +1082,19 @@ impl<R: Router> Run<'_, R> {
             }
             self.inject(cycle);
             let mut moved = false;
-            if self.dense {
-                for link in 0..self.sim.link_from.len() as u32 {
+            // Live cursor sweep over demand nodes in ascending order —
+            // link-major order (links are CSR-grouped by source). A node
+            // activated *ahead* of the cursor by a flit delivered this
+            // cycle is swept this cycle, as a pass over every link would
+            // reach its links later; one activated behind the cursor
+            // waits for the next cycle.
+            let mut cursor = 0u32;
+            while let Some(u) = self.active.next_active(cursor) {
+                cursor = u + 1;
+                let lo = self.sim.link_of[u as usize];
+                let hi = self.sim.link_of[u as usize + 1];
+                for link in lo..hi {
                     moved |= self.step_link(link);
-                }
-            } else {
-                // Live cursor sweep over demand nodes in ascending order —
-                // the dense link-major order (links are CSR-grouped by
-                // source). A node activated *ahead* of the cursor by a
-                // flit delivered this cycle is swept this cycle, exactly
-                // as the dense loop reaches its links later; one activated
-                // behind the cursor waits for the next cycle, exactly as
-                // the dense loop has already passed it.
-                let mut cursor = 0u32;
-                while let Some(u) = self.active.next_active(cursor) {
-                    cursor = u + 1;
-                    let lo = self.sim.link_of[u as usize];
-                    let hi = self.sim.link_of[u as usize + 1];
-                    for link in lo..hi {
-                        moved |= self.step_link(link);
-                    }
                 }
             }
             moved |= self.eject(cycle);
@@ -1336,112 +1375,6 @@ mod tests {
         assert_eq!(a.stats().delivered, b.stats().delivered);
         assert_eq!(a.stats().avg_latency, b.stats().avg_latency);
         assert_eq!(b.stats().dropped, 0);
-    }
-
-    #[test]
-    fn dense_oracle_matches_sparse_wormhole_byte_for_byte() {
-        // Congested multi-hop config: small buffers + long packets force
-        // credit stalls and same-cycle multi-hop forwarding, the cases
-        // where sparse sweep order could plausibly diverge. Stats AND
-        // trace bytes must agree between the worklist sweep and the
-        // dense-oracle iteration.
-        let g = classic::torus2d(4);
-        let mut sim = WormholeSim::new(&g);
-        let cfg = WormholeConfig {
-            vcs: 8,
-            buffer_flits: 1,
-            packet_flits: 8,
-            injection_rate: 0.05,
-            cycles: 2_000,
-            ..WormholeConfig::default()
-        };
-        let tc = TraceConfig::with_interval(50);
-        sim.set_dense(false);
-        let (sparse, strace) = sim.run_traced(&cfg, &Obs::disabled(), 0, Some(&tc));
-        sim.set_dense(true);
-        let (dense, dtrace) = sim.run_traced(&cfg, &Obs::disabled(), 0, Some(&tc));
-        let (s, d) = (sparse.stats(), dense.stats());
-        assert!(s.injected > 0 && s.delivered > 0);
-        assert_eq!(s.injected, d.injected);
-        assert_eq!(s.delivered, d.delivered);
-        assert_eq!(s.dropped, d.dropped);
-        assert_eq!(s.avg_latency, d.avg_latency);
-        assert_eq!(
-            strace.unwrap().to_jsonl(),
-            dtrace.unwrap().to_jsonl(),
-            "sparse trace must be byte-identical to the dense oracle's"
-        );
-    }
-
-    #[test]
-    fn dense_oracle_matches_sparse_wormhole_under_faults() {
-        // Fault campaigns exercise the remaining activation paths: purge
-        // (network-wide flit removal), refused launches, and mid-chunk
-        // node deaths filtered out of the precomputed schedule.
-        use crate::fault::FaultSpec;
-        use crate::router::DetourRouter;
-        let g = classic::hypercube(5);
-        let router = DetourRouter::new(RoutingTable::new(&g), g.clone()).unwrap();
-        let mut sim = WormholeSim::with_router(router, &g);
-        let spec = FaultSpec::parse("script:node@500:3+link@800:0-1+link@800:4-5").unwrap();
-        let plan = FaultPlan::compile(&spec, &g, 0xabcd).unwrap();
-        sim.set_fault_plan(Some(plan));
-        let cfg = WormholeConfig {
-            vcs: 6,
-            injection_rate: 0.02,
-            cycles: 6_000,
-            ..WormholeConfig::default()
-        };
-        let tc = TraceConfig::with_interval(100);
-        sim.set_dense(false);
-        let (sparse, strace) = sim.run_traced(&cfg, &Obs::disabled(), 0, Some(&tc));
-        sim.set_dense(true);
-        let (dense, dtrace) = sim.run_traced(&cfg, &Obs::disabled(), 0, Some(&tc));
-        let (s, d) = (sparse.stats(), dense.stats());
-        assert!(s.dropped > 0, "the fault campaign must bite");
-        assert_eq!(s.injected, d.injected);
-        assert_eq!(s.delivered, d.delivered);
-        assert_eq!(s.dropped, d.dropped);
-        assert_eq!(s.avg_latency, d.avg_latency);
-        assert_eq!(strace.unwrap().to_jsonl(), dtrace.unwrap().to_jsonl());
-    }
-
-    #[test]
-    fn dense_oracle_matches_sparse_on_deadlock() {
-        // The deadlock detector runs off the shared `moved`/buffered
-        // state, so both modes must wedge at the same cycle with the
-        // same stuck-packet census.
-        let g = classic::ring(8);
-        let mut sim = WormholeSim::new(&g);
-        let fixed: Vec<u32> = (0..8u32).map(|i| (i + 3) % 8).collect();
-        let cfg = WormholeConfig {
-            vcs: 1,
-            buffer_flits: 1,
-            packet_flits: 8,
-            injection_rate: 0.5,
-            cycles: 20_000,
-            deadlock_threshold: 300,
-            policy: VcPolicy::Single,
-            traffic: WormTraffic::Fixed(fixed),
-            ..WormholeConfig::default()
-        };
-        sim.set_dense(false);
-        let a = sim.run(&cfg);
-        sim.set_dense(true);
-        let b = sim.run(&cfg);
-        match (a, b) {
-            (
-                WormholeOutcome::Deadlocked {
-                    at_cycle: ca,
-                    stuck_packets: pa,
-                },
-                WormholeOutcome::Deadlocked {
-                    at_cycle: cb,
-                    stuck_packets: pb,
-                },
-            ) => assert_eq!((ca, pa), (cb, pb)),
-            _ => panic!("both modes must deadlock"),
-        }
     }
 
     #[test]

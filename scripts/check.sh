@@ -115,33 +115,16 @@ for spec in "script:link@600:0-1+node@1200:5" "rate:links=0.05,nodes=0.01,at=800
 done
 echo "   byte-identical for IPG_THREADS=1/2/4 (scripted and rate-based faults)"
 
-stage "sparse-vs-dense determinism (IPG_DENSE_ENGINE byte-compare)"
-# The sparse worklist kernel (default) must be byte-identical to the
-# dense oracle (IPG_DENSE_ENGINE=1) — stdout, manifest records, AND the
-# full trace file — with a fault campaign active, at every worker count.
-# This is the DESIGN.md §13 contract exercised end to end.
+stage "engines vs reference model (IPG_THREADS=1/2/4)"
+# Both cycle engines must be byte-identical to the naive reference model
+# of crates/ipg-sim/tests/support/reference.rs — result, manifest
+# window/metrics records, AND the full trace — on faulted, traced configs
+# (the CLI's simulate defaults among them), with the engines' internal
+# state audited after every run. This is the DESIGN.md §13 contract.
 for t in 1 2 4; do
-    for eng in sparse dense; do
-        denv=0
-        [ "$eng" = dense ] && denv=1
-        mkdir -p "$simdir/e$eng$t"
-        (cd "$simdir/e$eng$t" && IPG_THREADS=$t IPG_DENSE_ENGINE=$denv \
-            "$OLDPWD/target/release/ipg" \
-            simulate ring-cn:l=3,nucleus=Q2 0.03 \
-            --faults "script:link@600:0-1+node@1200:5" \
-            --obs run.manifest.jsonl --obs-interval 500 \
-            --trace run.trace.jsonl --trace-interval 128 > stdout.txt)
-        grep -E '^\{"record":"(window|metrics)"' "$simdir/e$eng$t/run.manifest.jsonl" \
-            | sort > "$simdir/e$eng$t/records.txt"
-    done
-    cmp "$simdir/esparse$t/stdout.txt" "$simdir/edense$t/stdout.txt" \
-        || { echo "check.sh: sparse stdout differs from dense oracle at IPG_THREADS=$t" >&2; exit 1; }
-    cmp "$simdir/esparse$t/records.txt" "$simdir/edense$t/records.txt" \
-        || { echo "check.sh: sparse manifest records differ from dense oracle at IPG_THREADS=$t" >&2; exit 1; }
-    cmp "$simdir/esparse$t/run.trace.jsonl" "$simdir/edense$t/run.trace.jsonl" \
-        || { echo "check.sh: sparse trace differs from dense oracle at IPG_THREADS=$t" >&2; exit 1; }
+    IPG_THREADS=$t cargo test -q --release -p ipg-sim --test reference
 done
-echo "   sparse kernel byte-identical to the dense oracle (faults + tracing, IPG_THREADS=1/2/4)"
+echo "   engines byte-identical to the reference model (faults + tracing, IPG_THREADS=1/2/4)"
 
 stage "dist determinism (--workers 1/2/4 vs in-process byte-compare)"
 # The multi-process engine must be byte-identical to the in-process

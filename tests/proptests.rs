@@ -6,6 +6,9 @@ use ipgraph::core::spec::Generator;
 use ipgraph::prelude::*;
 use proptest::prelude::*;
 
+#[path = "../crates/ipg-sim/tests/support/reference.rs"]
+mod reference;
+
 /// Strategy: a random permutation of k positions.
 fn perm(k: usize) -> impl Strategy<Value = Perm> {
     Just(()).prop_perturb(move |_, mut rng| {
@@ -710,13 +713,12 @@ proptest! {
         seed in 0u64..1 << 40,
     ) {
         // The injection schedule's lane kernel against a node-major scalar
-        // loop over the same streams, two chunks in a row: identical
+        // loop over the same streams that draws `gen::<f64>() < rate`
+        // instead of the integer threshold, two chunks in a row: identical
         // buckets and identical final node states. Rates lean small (the
         // square of a uniform draw); a node is dead with probability 1/4,
         // and one 16-node group is dead outright.
-        use ipgraph::sim::rng::{
-            bernoulli, bernoulli_threshold, node_stream, InjectionSchedule, NodeRng,
-        };
+        use ipgraph::sim::rng::{node_stream, InjectionSchedule, NodeRng};
         use rand::Rng;
         let n = dead_bits.len() as u32;
         let rate = (f64::from(rate_milli) / 1000.0).powi(2);
@@ -731,7 +733,6 @@ proptest! {
         let mut ours: Vec<NodeRng> = (0..n).map(|v| node_stream(seed, v)).collect();
         let mut reference = ours.clone();
         let mut sched = InjectionSchedule::default();
-        let threshold = bernoulli_threshold(rate);
         for chunk in 0..2 {
             let cycles = chunk * span..(chunk + 1) * span;
             sched.refill(cycles.clone(), n, rate, &mut ours, dead, pick);
@@ -741,7 +742,7 @@ proptest! {
                     continue;
                 }
                 for bucket in &mut want {
-                    if bernoulli(rng, threshold) {
+                    if rng.gen::<f64>() < rate {
                         if let Some(d) = pick(v, rng) {
                             bucket.push((v, d));
                         }
@@ -777,20 +778,23 @@ proptest! {
     }
 }
 
-/// Sparse-vs-dense equivalence battery (DESIGN.md §13): the worklist
-/// kernels must reproduce the dense oracle byte for byte on random
-/// super-IP specs × random traffic × optional fault campaigns. A
-/// deterministic parameter sweep rather than a proptest strategy — each
-/// case builds a routing table and runs several simulations, so the
-/// sweep is kept to a dozen hand-spread points (seeds derived by
-/// SplitMix so the traffic still varies run to run of the suite).
+/// Engine-vs-reference battery: the packet engine must reproduce the
+/// naive reference model (`crates/ipg-sim/tests/support/reference.rs`)
+/// byte for byte — result, `window`/`metrics` records and trace — on
+/// random super-IP specs × random traffic × optional fault campaigns,
+/// with its internal state audited after every run. A deterministic
+/// parameter sweep rather than a proptest strategy — each case builds a
+/// routing table and runs two simulations, so the sweep is kept to a
+/// dozen hand-spread points (seeds derived by SplitMix so the traffic
+/// still varies run to run of the suite).
 #[test]
-fn sparse_engine_matches_dense_oracle_on_random_specs() {
+fn sparse_engine_matches_reference_on_random_specs() {
     for case in 0usize..12 {
         let (l, family, kind, traffic_kind, fault_kind) =
             (2 + case % 2, case % 4, (case / 2) % 4, case % 2, case % 3);
         let seed = (case as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 16;
-        use ipgraph::sim::{FaultPlan, FaultSpec, SimConfig, Simulator, Traffic};
+        use ipgraph::sim::table::RoutingTable;
+        use ipgraph::sim::{FaultPlan, FaultSpec, SimConfig, Traffic};
         let nuc = match kind {
             0 => NucleusSpec::hypercube(1),
             1 => NucleusSpec::hypercube(2),
@@ -818,38 +822,42 @@ fn sparse_engine_matches_dense_oracle_on_random_specs() {
                 traffic,
                 ..SimConfig::default()
             };
-            let mut sim = Simulator::new(&g, |v| v / 4, &cfg);
             let fault = match fault_kind {
                 0 => None,
                 1 => Some(format!("script:node@60:{}", n / 2)),
                 _ => Some("rate:links=0.02,at=90".to_string()),
             };
-            if let Some(f) = fault {
+            let plan = fault.map(|f| {
                 let fs = FaultSpec::parse(&f).unwrap();
-                sim.set_fault_plan(Some(FaultPlan::compile(&fs, &g, seed ^ 0xfa17).unwrap()));
-            }
-            sim.set_dense(false);
-            let sparse = sim.run(&cfg);
-            sim.validate_sparse_state();
-            sim.set_dense(true);
-            let dense = sim.run(&cfg);
-            sim.validate_sparse_state();
-            assert_eq!(sparse, dense, "{}: sparse != dense oracle", spec.name);
+                FaultPlan::compile(&fs, &g, seed ^ 0xfa17).unwrap()
+            });
+            let tc = ipg_obs::TraceConfig::with_interval(16);
+            reference::check_packet(
+                RoutingTable::new(&g),
+                &g,
+                &|v| v / 4,
+                plan.as_ref(),
+                &cfg,
+                50,
+                Some(&tc),
+                &spec.name,
+            );
         }
     }
 }
 
-/// Wormhole arm of the equivalence battery: stats (and deadlock
-/// verdicts) must agree between the worklist sweep and the dense oracle
-/// across families, traffic shapes, and fault campaigns.
+/// Wormhole arm of the battery: full stats or deadlock verdict, manifest
+/// records and trace must agree with the reference model across
+/// families, traffic shapes, and fault campaigns.
 #[test]
-fn sparse_wormhole_matches_dense_oracle_on_random_specs() {
+fn sparse_wormhole_matches_reference_on_random_specs() {
     for case in 0usize..8 {
         let (l, family, traffic_kind, faulted) =
             (2 + case % 2, case % 4, (case / 2) % 2, case % 3 == 0);
         let seed = (case as u64).wrapping_mul(0xbf58_476d_1ce4_e5b9) >> 16;
+        use ipgraph::sim::table::RoutingTable;
         use ipgraph::sim::wormhole::{WormTraffic, WormholeConfig};
-        use ipgraph::sim::{FaultPlan, FaultSpec, WormholeSim};
+        use ipgraph::sim::{FaultPlan, FaultSpec};
         let spec = super_family(family, l, NucleusSpec::hypercube(1 + family % 2));
         if spec.expected_size().unwrap() <= 600 {
             let tn = TupleNetwork::from_spec(&spec).unwrap();
@@ -870,37 +878,20 @@ fn sparse_wormhole_matches_dense_oracle_on_random_specs() {
                 traffic,
                 ..WormholeConfig::default()
             };
-            let mut sim = WormholeSim::new(&g);
-            if faulted {
+            let plan = faulted.then(|| {
                 let fs = FaultSpec::parse("rate:links=0.02,at=200").unwrap();
-                sim.set_fault_plan(Some(FaultPlan::compile(&fs, &g, seed ^ 0xfa17).unwrap()));
-            }
-            sim.set_dense(false);
-            let sparse = sim.run(&cfg);
-            sim.set_dense(true);
-            let dense = sim.run(&cfg);
-            match (sparse, dense) {
-                (
-                    ipgraph::sim::WormholeOutcome::Completed(s),
-                    ipgraph::sim::WormholeOutcome::Completed(d),
-                ) => {
-                    assert_eq!(s.injected, d.injected, "{}", spec.name);
-                    assert_eq!(s.delivered, d.delivered, "{}", spec.name);
-                    assert_eq!(s.dropped, d.dropped, "{}", spec.name);
-                    assert_eq!(s.avg_latency, d.avg_latency, "{}", spec.name);
-                }
-                (
-                    ipgraph::sim::WormholeOutcome::Deadlocked {
-                        at_cycle: ca,
-                        stuck_packets: pa,
-                    },
-                    ipgraph::sim::WormholeOutcome::Deadlocked {
-                        at_cycle: cb,
-                        stuck_packets: pb,
-                    },
-                ) => assert_eq!((ca, pa), (cb, pb), "{}", spec.name),
-                _ => panic!("{}: one mode deadlocked, the other completed", spec.name),
-            }
+                FaultPlan::compile(&fs, &g, seed ^ 0xfa17).unwrap()
+            });
+            let tc = ipg_obs::TraceConfig::with_interval(16);
+            reference::check_wormhole(
+                RoutingTable::new(&g),
+                &g,
+                plan.as_ref(),
+                &cfg,
+                100,
+                Some(&tc),
+                &spec.name,
+            );
         }
     }
 }
@@ -908,12 +899,12 @@ fn sparse_wormhole_matches_dense_oracle_on_random_specs() {
 /// Regression (DESIGN.md §13 activation invariant, fault event source):
 /// a mid-run fault must re-activate exactly the right state — queues the
 /// kill drained fall off the worklist, re-routed traffic re-populates
-/// it — and the sparse run must stay byte-equal to the dense oracle
-/// across the fault boundary, with the adaptive router still delivering.
+/// it — and the run must stay byte-equal to the reference model across
+/// the fault boundary, with the adaptive router still delivering.
 #[test]
 fn fault_reactivation_keeps_sparse_state_exact() {
     use ipgraph::sim::table::RoutingTable;
-    use ipgraph::sim::{DetourRouter, FaultPlan, FaultSpec, SimConfig, Simulator, Traffic};
+    use ipgraph::sim::{DetourRouter, FaultPlan, FaultSpec, SimConfig, Traffic};
     let tn = hier::complete_cn(2, classic::hypercube(3), "Q3");
     let g = tn.build();
     let cfg = SimConfig {
@@ -925,19 +916,19 @@ fn fault_reactivation_keeps_sparse_state_exact() {
         ..SimConfig::default()
     };
     let router = DetourRouter::new(RoutingTable::new(&g), g.clone()).unwrap();
-    let mut sim = Simulator::with_router(router, &g, |v| v / 8, &cfg);
     // kill a node mid-measurement and a batch of links during drain
     let spec = FaultSpec::parse("script:node@300:5;rate:links=0.05,at=700").unwrap();
-    sim.set_fault_plan(Some(FaultPlan::compile(&spec, &g, 0xfa17).unwrap()));
-    sim.set_dense(false);
-    let sparse = sim.run(&cfg);
-    sim.validate_sparse_state();
-    sim.set_dense(true);
-    let dense = sim.run(&cfg);
-    sim.validate_sparse_state();
-    assert_eq!(sparse, dense, "fault campaign desynchronized the worklists");
-    assert!(
-        sparse.delivered > 0,
-        "adaptive routing must keep delivering"
+    let plan = FaultPlan::compile(&spec, &g, 0xfa17).unwrap();
+    let tc = ipg_obs::TraceConfig::with_interval(50);
+    let r = reference::check_packet(
+        router,
+        &g,
+        &|v| v / 8,
+        Some(&plan),
+        &cfg,
+        100,
+        Some(&tc),
+        "complete-CN(2,Q3) faulted",
     );
+    assert!(r.delivered > 0, "adaptive routing must keep delivering");
 }
